@@ -261,7 +261,6 @@ mod tests {
 
     #[test]
     fn directory_replay_on_tiny_profile() {
-        std::env::remove_var("PB_SCALE");
         let log = {
             let p = profiles::aiusa(0.01);
             p.generate()

@@ -12,8 +12,9 @@
 //! `online_volumes` example) instead of maintaining directory volumes.
 //! Unless `--no-metrics` is given, `GET /__pb/metrics` serves Prometheus
 //! counters and response-timing histograms. `--legacy-origin` serves
-//! through the original single-mutex path (A/B baseline, mirroring
-//! `pb-proxy --legacy`); the default is the lock-free snapshot path.
+//! through the original single-mutex path (the A/B baseline and the
+//! stress suite's piggyback reference); the default is the lock-free
+//! snapshot path.
 //! `--no-piggyback-cache` disables the `P-volume` encode cache, and
 //! `--epoch-secs N` enables online probability-volume learning (requires
 //! `--volumes-file`). `--io reactor` serves connections from the epoll

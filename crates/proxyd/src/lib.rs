@@ -44,7 +44,7 @@ pub use client::{run_sequence, ClientReport, ConnectionPool, HttpClient, PoolSta
 pub use netem::{Conditioner, ExchangePlan, NetProfile, ShimConfig, ShimStats};
 pub use obs::{DaemonObs, HistogramSnapshot, LatencyHistogram, ProxyObs};
 pub use origin::{start_origin, OnlineEpochConfig, OriginConfig, OriginHandle, VolumeScheme};
-pub use proxy::{start_proxy, ConcurrencyMode, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
+pub use proxy::{start_proxy, ProxyConfig, ProxyHandle, ProxyStats, METRICS_PATH};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     resolve_reactors, serve_reactor, ReactorMetrics, ReactorOptions, ReactorService,

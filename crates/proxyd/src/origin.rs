@@ -31,9 +31,9 @@
 //!   encoding per snapshot.
 //!
 //! The original single-`Mutex<PiggybackServer>` path is retained as
-//! `--legacy-origin` (mirroring `pb-proxy --legacy`) for A/B comparison;
-//! both paths produce byte-identical piggybacks for the same access
-//! history.
+//! `--legacy-origin` for A/B comparison and as the stress suite's
+//! reference: both paths produce byte-identical piggybacks for the same
+//! access history.
 
 use crate::obs::{render_histogram, render_scalar, DaemonObs};
 use crate::prefetch::{PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER, PUSH_PATH_HEADER};

@@ -54,11 +54,10 @@
 //! [`accept_push`] files accepted bodies as issued speculations;
 //! duplicate pushes settle instantly as wasted bytes.
 
-use crate::proxy::ProxyShared;
+use crate::proxy::{last_modified, plain_get, send_upstream, ProxyShared};
 use crate::stats::AtomicProxyStats;
-use piggyback_core::datetime::{parse_rfc1123, timestamp_from_unix, DEFAULT_TRACE_EPOCH_UNIX};
 use piggyback_core::types::{ResourceId, Timestamp};
-use piggyback_httpwire::{ConnScratch, Request, Response};
+use piggyback_httpwire::{ConnScratch, Response};
 use piggyback_webcache::CacheEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -132,8 +131,7 @@ struct PrefetchInner {
 }
 
 /// The budgeted prefetch engine; one per proxy when
-/// `--prefetch-budget > 0` (Sharded mode only — it fetches through the
-/// origin pool).
+/// `--prefetch-budget > 0`.
 pub(crate) struct Prefetcher {
     inner: Arc<PrefetchInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -347,13 +345,31 @@ fn fetch_and_install(
     let stats = &shared.stats;
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
-    let resp = match fetch_with_retry(shared, path, scratch) {
-        Ok(resp) => resp,
-        Err(_) => {
-            stats.prefetch_wasted.fetch_add(1, Relaxed);
-            stats.prefetch_inflight.fetch_sub(1, Relaxed);
-            return;
-        }
+    // A deliberately plain GET: no `Piggy-filter` (a speculative fetch
+    // must not solicit more piggybacks and snowball), no
+    // `If-Modified-Since`, no hit report.
+    let fetched = send_upstream(
+        shared,
+        &stats.prefetch_retries,
+        &plain_get(path),
+        scratch,
+        |c| Response::read(&mut c.reader, false),
+    );
+    let resp = fetched.ok().map(|(conn, resp)| {
+        shared.pool.checkin(conn);
+        resp
+    });
+    settle_speculation(shared, r, path, resp);
+}
+
+/// Resolve an issued speculation with its exchange's result (`None`: the
+/// fetch failed): a 200 is installed, anything else settles as wasted.
+fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, resp: Option<Response>) {
+    let stats = &shared.stats;
+    let Some(resp) = resp else {
+        stats.prefetch_wasted.fetch_add(1, Relaxed);
+        stats.prefetch_inflight.fetch_sub(1, Relaxed);
+        return;
     };
     let size = resp.body.len() as u64;
     stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
@@ -364,12 +380,7 @@ fn fetch_and_install(
         return;
     }
     let now = shared.clock.now();
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
+    let lm = last_modified(&resp, now);
     shared.table.write().register_path(path, size, lm);
     install_speculative(shared, r, resp.body.clone(), size, lm, now);
 }
@@ -397,12 +408,10 @@ fn fetch_and_install_reactor(
     let stats = &shared.stats;
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);
-    // The same deliberately plain GET as `fetch_with_retry`: no
-    // Piggy-filter (speculation must not snowball), no IMS, no report.
-    let mut req = Request::new("GET", path);
-    req.headers.insert("Host", "origin");
+    // The same plain GET as the blocking fetch.
     let mut request = Vec::with_capacity(64);
-    req.write_with(&mut request, scratch)
+    plain_get(path)
+        .write_with(&mut request, scratch)
         .expect("serializing to a Vec cannot fail");
     let landed = Arc::new((Mutex::new(false), Condvar::new()));
     let finish_shared = Arc::clone(shared);
@@ -416,7 +425,11 @@ fn fetch_and_install_reactor(
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
         finish: Box::new(move |_scratch, _out, outcome: UpstreamOutcome| {
-            settle_speculative_outcome(&finish_shared, r, &path_owned, outcome);
+            let resp = match outcome {
+                UpstreamOutcome::Response(resp) => Some(resp),
+                _ => None,
+            };
+            settle_speculation(&finish_shared, r, &path_owned, resp);
             let (flag, cv) = &*finish_landed;
             *flag.lock().unwrap() = true;
             cv.notify_all();
@@ -435,47 +448,6 @@ fn fetch_and_install_reactor(
             break;
         }
     }
-}
-
-/// Resolve a reactor-driven speculation: the continuation-side mirror of
-/// [`fetch_and_install`]'s post-exchange tail.
-#[cfg(target_os = "linux")]
-fn settle_speculative_outcome(
-    shared: &Arc<ProxyShared>,
-    r: ResourceId,
-    path: &str,
-    outcome: crate::reactor::UpstreamOutcome,
-) {
-    let stats = &shared.stats;
-    let resp = match outcome {
-        // Streamed/StreamFailed can't occur (the plan carries no
-        // StreamSpec); route them with Failed defensively.
-        crate::reactor::UpstreamOutcome::Failed
-        | crate::reactor::UpstreamOutcome::Streamed { .. }
-        | crate::reactor::UpstreamOutcome::StreamFailed { .. } => {
-            stats.prefetch_wasted.fetch_add(1, Relaxed);
-            stats.prefetch_inflight.fetch_sub(1, Relaxed);
-            return;
-        }
-        crate::reactor::UpstreamOutcome::Response(resp) => resp,
-    };
-    let size = resp.body.len() as u64;
-    stats.prefetch_fetched_bytes.fetch_add(size, Relaxed);
-    if resp.status != 200 {
-        stats.prefetch_wasted.fetch_add(1, Relaxed);
-        stats.prefetch_wasted_bytes.fetch_add(size, Relaxed);
-        stats.prefetch_inflight.fetch_sub(1, Relaxed);
-        return;
-    }
-    let now = shared.clock.now();
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
-    shared.table.write().register_path(path, size, lm);
-    install_speculative(shared, r, resp.body.clone(), size, lm, now);
 }
 
 /// Install a speculatively fetched (or pushed) body as a
@@ -535,46 +507,6 @@ pub(crate) fn install_speculative(
     }
 }
 
-/// The speculative upstream exchange: a deliberately plain GET — no
-/// `Piggy-filter` (a speculative fetch must not solicit more piggybacks
-/// and snowball), no `If-Modified-Since`, no hit report — with the same
-/// retry-once-on-fresh-connection contract as the demand path.
-fn fetch_with_retry(
-    shared: &ProxyShared,
-    path: &str,
-    scratch: &mut ConnScratch,
-) -> Result<Response, piggyback_httpwire::HttpError> {
-    let pool = shared
-        .pool
-        .as_ref()
-        .expect("prefetcher runs in Sharded mode only");
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.prefetch_retries.fetch_add(1, Relaxed);
-        }
-        let mut conn = if attempt == 0 {
-            pool.checkout()?
-        } else {
-            pool.connect_fresh()?
-        };
-        let mut req = Request::new("GET", path);
-        req.headers.insert("Host", "origin");
-        let io_result = req
-            .write_with(&mut conn.writer, scratch)
-            .map_err(piggyback_httpwire::HttpError::from)
-            .and_then(|()| Response::read(&mut conn.reader, false));
-        match io_result {
-            Ok(resp) => {
-                pool.checkin(conn);
-                return Ok(resp);
-            }
-            Err(_) if attempt == 0 => {}
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("retry loop always returns by the second attempt")
-}
-
 /// Settle a speculation the moment a client hit proves it out. Call with
 /// the **pre-mark** snapshot every `Cache::lookup` returns; the shard
 /// lock guarantees exactly one caller sees `used == false`.
@@ -610,12 +542,7 @@ pub(crate) fn accept_push(shared: &ProxyShared, resp: &Response, now: Timestamp)
     };
     let stats = &shared.stats;
     let size = resp.body.len() as u64;
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
+    let lm = last_modified(resp, now);
     let r = shared.table.write().register_path(path, size, lm);
     stats.prefetch_issued.fetch_add(1, Relaxed);
     stats.prefetch_inflight.fetch_add(1, Relaxed);

@@ -8,9 +8,8 @@
 //!
 //! ## Concurrency model
 //!
-//! The default [`ConcurrencyMode::Sharded`] splits proxy state into
-//! independently locked pieces so parallel requests only contend when they
-//! touch the same resource shard:
+//! Proxy state is split into independently locked pieces so parallel
+//! requests only contend when they touch the same resource shard:
 //!
 //! * the cache is an N-way [`ShardedCache`] keyed by resource hash, with
 //!   the body store co-sharded by the same hash;
@@ -21,11 +20,22 @@
 //! * upstream fetches check keep-alive connections out of a bounded,
 //!   health-checked [`ConnectionPool`] instead of reconnecting per fetch.
 //!
-//! [`ConcurrencyMode::Legacy`] preserves the original single-lock,
-//! fresh-connection-per-fetch behavior as an A/B baseline.
+//! ## Two engines, one settlement
+//!
+//! The threaded engine runs each upstream exchange blocking on the
+//! connection's worker; the reactor drives it as a nonblocking
+//! [`UpstreamPlan`](crate::reactor::UpstreamPlan) on its epoll loop. The
+//! engines differ only in how bytes move. What an upstream result does to
+//! the cache, table, counters, histograms, piggyback state and client
+//! reply lives once, in the `settle*` functions below, and both engines
+//! call them: [`settle`] and [`settle_refetch`] for buffered responses,
+//! [`settle_streamed_miss`] and [`settle_prefix_hit`] for relays,
+//! [`serve_speculation`] for a landed prefetch. Requests are built by
+//! [`upstream_request`] and relay heads by [`write_stream_head`] and
+//! [`write_prefix_head`], again once for both engines.
 
 use crate::client::{ConnectionPool, PoolStats, PooledConn};
-use crate::obs::{render_histogram, render_scalar, ProxyObs};
+use crate::obs::{render_histogram, render_scalar, LatencyHistogram, ProxyObs};
 use crate::origin::strip_origin_form;
 use crate::prefetch::{self, Prefetcher, PIGGY_PUSH_HEADER, PUSH_COUNT_HEADER};
 use crate::stats::AtomicProxyStats;
@@ -48,8 +58,9 @@ use piggyback_httpwire::{
     HttpError, Request, Response, StreamFraming,
 };
 use piggyback_webcache::{CacheEntry, PolicyKind, ShardedBodyStore, ShardedCache};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -60,37 +71,6 @@ pub const METRICS_PATH: &str = "/__pb/metrics";
 /// How many client sources the per-source RPV table tracks before
 /// evicting the stalest.
 const RPV_MAX_SOURCES: usize = 256;
-
-/// How the proxy synchronizes its state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConcurrencyMode {
-    /// The original model: every request serializes through one global
-    /// lock and every upstream fetch opens a fresh origin connection.
-    /// Kept as the A/B baseline for the sharded path.
-    Legacy,
-    /// Sharded cache/bodies, read-write table, atomic stats, and a
-    /// keep-alive origin connection pool.
-    Sharded {
-        /// Cache/body shard count (clamped to at least 1).
-        shards: usize,
-    },
-}
-
-/// How the proxy reads requests and writes responses on the client side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// The seed wire path: per-request parser allocations
-    /// (`Request::read`), an owned byte copy of the cached body per hit,
-    /// and responses dribbled through a `BufWriter`. Kept as the A/B
-    /// baseline (`pb-proxy --buffered-wire`, `proxy-ab`'s `base` cells).
-    Buffered,
-    /// Scratch-threaded parsing (`Request::read_into`), shared-`Body`
-    /// cache hits served without memcpy, and single-vectored-write
-    /// response assembly. Allocation-free per cached-hit request once the
-    /// connection's buffers are warm.
-    #[default]
-    ZeroCopy,
-}
 
 /// Proxy configuration.
 #[derive(Debug, Clone)]
@@ -109,11 +89,9 @@ pub struct ProxyConfig {
     /// Report cache-served accesses upstream via `Piggy-report`
     /// (Section 5 extension).
     pub report_hits: bool,
-    /// Locking/pooling model (see [`ConcurrencyMode`]).
-    pub mode: ConcurrencyMode,
-    /// Client-side wire handling (see [`WireMode`]).
-    pub wire: WireMode,
-    /// Idle origin connections the pool retains (Sharded mode only).
+    /// Cache/body shard count (clamped to at least 1).
+    pub shards: usize,
+    /// Idle origin connections the pool retains.
     pub pool_max_idle: usize,
     /// Accept-loop worker/queue sizing. In reactor mode `serve.workers`
     /// sizes the offload pool (blocking upstream exchanges) instead.
@@ -124,9 +102,8 @@ pub struct ProxyConfig {
     pub metrics: bool,
     /// Client-side I/O engine. [`IoMode::Reactor`] (Linux only; silently
     /// falls back to `Threaded` elsewhere) multiplexes connections on an
-    /// epoll readiness loop instead of pinning a worker thread each.
-    /// Reactor mode always uses the zero-copy serializers, so its wire
-    /// bytes are identical to `WireMode::ZeroCopy`.
+    /// epoll readiness loop instead of pinning a worker thread each. Both
+    /// engines share the serializers, so their wire bytes are identical.
     pub io: IoMode,
     /// Reactor-mode idle/read deadline for client connections.
     pub reactor_idle_timeout: std::time::Duration,
@@ -137,8 +114,7 @@ pub struct ProxyConfig {
     pub upstream_timeout: std::time::Duration,
     /// Maximum concurrent speculative fetches acting on piggybacked
     /// `PrefetchCandidate` elements; 0 disables the prefetcher (the seed
-    /// behavior: candidates are only counted). Sharded mode only — the
-    /// prefetcher fetches through the origin pool.
+    /// behavior: candidates are only counted).
     pub prefetch_budget: usize,
     /// Send `Piggy-push: accept` upstream and cache full volume-member
     /// responses a `--push` origin streams after the main response (the
@@ -171,8 +147,7 @@ impl ProxyConfig {
             rpv: Some((16, DurationMs::from_secs(30))),
             policy: PolicyKind::Lru,
             report_hits: true,
-            mode: ConcurrencyMode::Sharded { shards: 8 },
-            wire: WireMode::ZeroCopy,
+            shards: 8,
             pool_max_idle: 32,
             serve: ServeOptions::default(),
             metrics: true,
@@ -209,14 +184,12 @@ pub(crate) struct ProxyShared {
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
     obs: ProxyObs,
-    /// Keep-alive origin pool (Sharded mode; Legacy connects per fetch).
-    pub(crate) pool: Option<ConnectionPool>,
-    /// Legacy mode's whole-state serializer, held across each cache phase
-    /// the way the original `Mutex<ProxyState>` was.
-    global: Option<Mutex<()>>,
-    /// The speculative fetch engine (`--prefetch-budget > 0`, Sharded
-    /// mode only). `OnceLock` because it is started after the `Arc` is
-    /// built — the workers hold a `Weak` back-reference.
+    /// Keep-alive origin pool for blocking exchanges (the threaded
+    /// engine, the reactor's offload pool, threaded-mode prefetch).
+    pub(crate) pool: ConnectionPool,
+    /// The speculative fetch engine (`--prefetch-budget > 0`).
+    /// `OnceLock` because it is started after the `Arc` is built — the
+    /// workers hold a `Weak` back-reference.
     prefetcher: OnceLock<Arc<Prefetcher>>,
     /// Accept-side counters (both I/O modes), exported at the scrape.
     io_stats: Arc<IoStats>,
@@ -226,8 +199,7 @@ pub(crate) struct ProxyShared {
     /// Injects detached upstream exchanges (speculative prefetch GETs)
     /// into the reactor shards, so speculation rides the same nonblocking
     /// upstream legs as demand misses. Set once the reactor is up;
-    /// `None`/unset in threaded mode (the prefetcher then blocks on the
-    /// pool as before).
+    /// unset in threaded mode (the prefetcher then blocks on the pool).
     #[cfg(target_os = "linux")]
     pub(crate) upstream_submit: OnceLock<crate::reactor::ReactorSubmitter>,
 }
@@ -258,9 +230,10 @@ impl ProxyHandle {
         self.shared.stats.snapshot()
     }
 
-    /// Origin-pool counters (`None` in Legacy mode, which has no pool).
+    /// Origin-pool counters. Always `Some`; the `Option` keeps callers
+    /// written against proxies without a pool compiling.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.shared.pool.as_ref().map(|p| p.stats())
+        Some(self.shared.pool.stats())
     }
 
     /// Latency/piggyback-overhead histograms (lock-free snapshots).
@@ -285,18 +258,7 @@ impl ProxyHandle {
 
 /// Start the proxy.
 pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
-    let shards = match cfg.mode {
-        ConcurrencyMode::Legacy => 1,
-        ConcurrencyMode::Sharded { shards } => shards.max(1),
-    };
-    let pool = match cfg.mode {
-        ConcurrencyMode::Legacy => None,
-        ConcurrencyMode::Sharded { .. } => Some(ConnectionPool::new(cfg.origin, cfg.pool_max_idle)),
-    };
-    let global = match cfg.mode {
-        ConcurrencyMode::Legacy => Some(Mutex::new(())),
-        ConcurrencyMode::Sharded { .. } => None,
-    };
+    let shards = cfg.shards.max(1);
     let io_stats = Arc::new(IoStats::default());
     #[cfg(target_os = "linux")]
     let reactor_metrics = match cfg.io {
@@ -319,8 +281,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         reporter: Mutex::new(HitReporter::new()),
         stats: AtomicProxyStats::new(),
         obs: ProxyObs::default(),
-        pool,
-        global,
+        pool: ConnectionPool::new(cfg.origin, cfg.pool_max_idle),
         prefetcher: OnceLock::new(),
         io_stats: Arc::clone(&io_stats),
         #[cfg(target_os = "linux")]
@@ -329,7 +290,7 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         upstream_submit: OnceLock::new(),
         cfg,
     });
-    if shared.cfg.prefetch_budget > 0 && shared.pool.is_some() {
+    if shared.cfg.prefetch_budget > 0 {
         let p = Prefetcher::start(shared.cfg.prefetch_budget, Arc::downgrade(&shared));
         let _ = shared.prefetcher.set(Arc::new(p));
     }
@@ -351,10 +312,8 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
             crate::reactor::serve_reactor(shared.cfg.port, "proxy", opts, io_stats, metrics, svc)?;
         // Speculative prefetch GETs ride the reactor's nonblocking
         // upstream legs instead of blocking a worker on the pool.
-        if shared.pool.is_some() {
-            if let Some(sub) = handle.reactor_submitter() {
-                let _ = shared.upstream_submit.set(sub);
-            }
+        if let Some(sub) = handle.reactor_submitter() {
+            let _ = shared.upstream_submit.set(sub);
         }
         return Ok(ProxyHandle { handle, shared });
     }
@@ -376,10 +335,9 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
 /// reactor thread; upstream fetches become nonblocking
 /// [`UpstreamPlan`](crate::reactor::UpstreamPlan)s driven on the same
 /// epoll loop — no offload-pool hop. The offload pool survives only for
-/// genuinely blocking work: Legacy mode's global-lock exchanges,
-/// `--accept-push` (which drains pushed responses synchronously off the
-/// origin stream), and demand requests that must park to join an
-/// in-flight speculative fetch.
+/// genuinely blocking work: `--accept-push` (which drains pushed
+/// responses synchronously off the origin stream) and demand requests
+/// that must park to join an in-flight speculative fetch.
 #[cfg(target_os = "linux")]
 struct ProxySvc {
     shared: Arc<ProxyShared>,
@@ -461,15 +419,9 @@ impl crate::reactor::ReactorService for ProxySvc {
                 };
                 match verdict {
                     L1Verdict::Serve(body, lm) => {
-                        let stats = &shared.stats;
-                        stats.requests.fetch_add(1, Relaxed);
-                        stats.cache_hits.fetch_add(1, Relaxed);
-                        stats.fresh_hits.fetch_add(1, Relaxed);
-                        stats.affine_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        shared.obs.fresh_hit.record(start.elapsed());
+                        shared.stats.requests.fetch_add(1, Relaxed);
+                        shared.stats.affine_hits.fetch_add(1, Relaxed);
+                        count_fresh_hit(shared, path, start);
                         write_hit(out, scratch, &body, lm)?;
                         return Ok(Served::Inline);
                     }
@@ -513,14 +465,11 @@ impl crate::reactor::ReactorService for ProxySvc {
 
 #[cfg(target_os = "linux")]
 impl ProxySvc {
-    /// The blocking fallback: ship the whole exchange (phases 2+3) to the
-    /// offload pool, exactly as every reactor-mode miss did before the
-    /// nonblocking upstream existed.
+    /// Ship the whole blocking upstream leg to the offload pool.
     fn offload(&self, job: UpstreamJob) -> crate::reactor::Served {
         let shared = Arc::clone(&self.shared);
         crate::reactor::Served::Offload(Box::new(move |scratch, out| {
-            let resp = complete_upstream(&shared, job, scratch);
-            resp.write_with(out, scratch)
+            serve_upstream(&shared, job, out, scratch)
         }))
     }
 
@@ -532,10 +481,9 @@ impl ProxySvc {
     ) -> io::Result<crate::reactor::Served> {
         use crate::reactor::Served;
         let shared = &self.shared;
-        // Legacy mode serializes behind the global lock and accept-push
-        // drains pushed responses synchronously mid-exchange; both stay
-        // on the offload pool.
-        if shared.pool.is_none() || shared.cfg.accept_push {
+        // Accept-push drains pushed responses synchronously mid-exchange,
+        // so it stays on the offload pool.
+        if shared.cfg.accept_push {
             return Ok(self.offload(job));
         }
         // A plain miss racing a speculative fetch of the same path:
@@ -548,42 +496,30 @@ impl ProxySvc {
                     prefetch::TryClaim::Fetch => {}
                     prefetch::TryClaim::InFlight => return Ok(self.offload(job)),
                     prefetch::TryClaim::Resolved => {
-                        if let Some(served) = serve_settled_speculation(shared, &job, scratch, out)?
-                        {
-                            return Ok(served);
+                        if serve_speculation(shared, &job, out, scratch)? {
+                            return Ok(Served::Inline);
                         }
                     }
                 }
             }
         }
-        // Streaming cut-through (mirrors the threaded engine): a retained
-        // prefix serves its head right now — the client's first byte never
-        // waits on the origin — and the suffix relays in behind it.
-        if reactor_streaming_eligible(shared, &job) {
-            let hit = shared
-                .table
-                .read()
-                .lookup(&job.path)
-                .and_then(|r| shared.bodies.get_prefix(r).map(|b| (r, b)));
-            if let Some((r, head)) = hit {
-                let total = head.total_len();
-                let head_len = head.len();
-                // Same bytes as the threaded `serve_prefix_hit` head; the
-                // reactor flushes `out` even while AwaitingUpstream, so
-                // TTFB is one pump away.
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
-                )?;
+        // A retained prefix serves its head right now — the reactor
+        // flushes `out` even while the upstream leg is pending, so the
+        // client's first byte never waits on the origin — and the suffix
+        // relays in behind it.
+        if streaming_eligible(shared, &job) {
+            if let Some((r, head)) = prefix_entry(shared, &job.path) {
+                write_prefix_head(out, head.total_len())?;
                 out.extend_from_slice(head.as_slice());
-                return Ok(Served::Upstream(suffix_relay_plan(
+                let plan = suffix_relay_plan(
                     Arc::clone(shared),
                     job,
                     r,
-                    total,
-                    head_len,
+                    head.total_len(),
+                    head.len(),
                     scratch,
-                )));
+                );
+                return Ok(Served::Upstream(plan));
             }
         }
         Ok(Served::Upstream(first_exchange_plan(
@@ -594,24 +530,130 @@ impl ProxySvc {
     }
 }
 
-/// Reactor-mode streaming eligibility: the same gates as the threaded
-/// [`streaming_eligible`] minus the pool check — `plan_upstream` already
-/// routed legacy mode (no pool) and `--accept-push` to the offload pool,
-/// and the reactor owns its origin connections.
+/// Wrap `leg` of `job` as a nonblocking exchange: the request from
+/// [`upstream_request`], the `upstream_retries` bump on a retry, and
+/// `finish` as the continuation, run on the reactor thread with the job,
+/// the parked client's scratch and output buffer, and the outcome.
 #[cfg(target_os = "linux")]
-fn reactor_streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
-    shared.cfg.stream_threshold > 0
-        && job.validate_lm.is_none()
-        && !shared.cfg.accept_push
-        && shared.prefetcher.get().is_none()
+fn reactor_plan(
+    shared: Arc<ProxyShared>,
+    job: UpstreamJob,
+    leg: Leg,
+    stream: Option<crate::reactor::StreamSpec>,
+    scratch: &mut ConnScratch,
+    finish: impl FnOnce(
+            Arc<ProxyShared>,
+            UpstreamJob,
+            &mut ConnScratch,
+            &mut Vec<u8>,
+            crate::reactor::UpstreamOutcome,
+        ) -> io::Result<crate::reactor::UpstreamNext>
+        + Send
+        + 'static,
+) -> crate::reactor::UpstreamPlan {
+    let mut request = Vec::with_capacity(256);
+    upstream_request(&shared, &job, leg)
+        .write_with(&mut request, scratch)
+        .expect("serializing to a Vec cannot fail");
+    let retry_shared = Arc::clone(&shared);
+    crate::reactor::UpstreamPlan {
+        origin: shared.cfg.origin,
+        request,
+        retry: Box::new(move || {
+            retry_shared.stats.upstream_retries.fetch_add(1, Relaxed);
+        }),
+        stream,
+        finish: Box::new(move |scratch, out, outcome| finish(shared, job, scratch, out, outcome)),
+    }
 }
 
-/// The reactor plan relaying a prefix hit's suffix: a plain CL-framed GET
-/// (no `TE: chunked`, no `Piggy-filter` — same request as the threaded
-/// suffix refetch) whose declared length must equal the recorded total,
-/// or the object changed underneath the prefix and the relay fails with a
-/// mismatch. `skip` drops the head bytes the client already has. Retry is
-/// safe until the relay engages: only the cache-served head is out.
+/// A buffered outcome as a settlement input (`None`: the exchange failed).
+#[cfg(target_os = "linux")]
+fn buffered_result(outcome: crate::reactor::UpstreamOutcome) -> Option<Exchanged> {
+    match outcome {
+        crate::reactor::UpstreamOutcome::Response(resp) => Some((resp, Vec::new())),
+        _ => None,
+    }
+}
+
+/// The nonblocking plan for a miss or validation. A streaming-eligible
+/// miss carries a [`StreamSpec`](crate::reactor::StreamSpec) that engages
+/// on `Content-Length`-framed 200s at or above the threshold (chunked
+/// responses stay buffered here: the piggyback rides their trailers, and
+/// those bodies fit the buffered exchange).
+#[cfg(target_os = "linux")]
+fn first_exchange_plan(
+    shared: Arc<ProxyShared>,
+    job: UpstreamJob,
+    scratch: &mut ConnScratch,
+) -> crate::reactor::UpstreamPlan {
+    use crate::reactor::{StreamSpec, UpstreamNext, UpstreamOutcome};
+    let stream = streaming_eligible(&shared, &job).then(|| {
+        let sh = Arc::clone(&shared);
+        StreamSpec {
+            threshold: shared.cfg.stream_threshold,
+            prefix_bytes: shared.cfg.prefix_bytes,
+            skip: 0,
+            expect_total: None,
+            head: Box::new(move |resp, total, out| {
+                write_stream_head(&sh, resp, StreamFraming::Length(total), out)
+            }),
+        }
+    });
+    let finish = |shared: Arc<ProxyShared>,
+                  job: UpstreamJob,
+                  scratch: &mut ConnScratch,
+                  out: &mut Vec<u8>,
+                  outcome| match outcome {
+        UpstreamOutcome::Streamed {
+            head,
+            total,
+            prefix,
+        } => {
+            settle_streamed_miss(&shared, &job, &head, &head.trailers, total, prefix);
+            Ok(UpstreamNext::Done)
+        }
+        // Bytes already reached the client: no 502 may follow.
+        UpstreamOutcome::StreamFailed { .. } => {
+            relay_abort(&shared, &job, "streaming relay failed")
+        }
+        outcome => match settle(&shared, &job, buffered_result(outcome)) {
+            Settled::Reply(reply) => {
+                reply.write_with(out, scratch)?;
+                Ok(UpstreamNext::Done)
+            }
+            Settled::Refetch(pending) => Ok(UpstreamNext::Again(refetch_plan(
+                shared, job, pending, scratch,
+            ))),
+        },
+    };
+    reactor_plan(shared, job, Leg::First, stream, scratch, finish)
+}
+
+/// The chained unconditional refetch for a 304 whose body was evicted.
+#[cfg(target_os = "linux")]
+fn refetch_plan(
+    shared: Arc<ProxyShared>,
+    job: UpstreamJob,
+    pending: Pending,
+    scratch: &mut ConnScratch,
+) -> crate::reactor::UpstreamPlan {
+    let finish = move |shared: Arc<ProxyShared>,
+                       job: UpstreamJob,
+                       scratch: &mut ConnScratch,
+                       out: &mut Vec<u8>,
+                       outcome| {
+        settle_refetch(&shared, &job, pending, buffered_result(outcome))
+            .write_with(out, scratch)?;
+        Ok(crate::reactor::UpstreamNext::Done)
+    };
+    reactor_plan(shared, job, Leg::Refetch, None, scratch, finish)
+}
+
+/// The plan relaying a prefix hit's suffix. The client head already went
+/// out at plan time, so the relay engages silently; `expect_total` pins
+/// the declared length to the recorded total, and `skip` drops the head
+/// bytes the client already has.
 #[cfg(target_os = "linux")]
 fn suffix_relay_plan(
     shared: Arc<ProxyShared>,
@@ -621,383 +663,31 @@ fn suffix_relay_plan(
     head_len: usize,
     scratch: &mut ConnScratch,
 ) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{StreamSpec, UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let mut req = Request::new("GET", &job.path);
-    req.headers.insert("Host", "origin");
-    let mut request = Vec::with_capacity(128);
-    req.write_with(&mut request, scratch)
-        .expect("serializing to a Vec cannot fail");
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        stream: Some(StreamSpec {
-            threshold: 0,
-            prefix_bytes: 0,
-            skip: head_len,
-            expect_total: Some(total),
-            // The client head went out at plan time; nothing more to send
-            // when the relay engages.
-            head: Box::new(|_resp, _scratch, _out| Ok(())),
-        }),
-        finish: Box::new(move |_scratch, _out, outcome| match outcome {
-            UpstreamOutcome::Streamed { total, .. } => {
-                shared.stats.cache_hits.fetch_add(1, Relaxed);
-                shared.stats.prefix_hits.fetch_add(1, Relaxed);
-                // Range-free refetch: the origin resent the whole object
-                // (bandwidth unchanged; TTFB is what the prefix buys).
-                shared
-                    .stats
-                    .bytes_from_origin
-                    .fetch_add(total as u64, Relaxed);
-                shared.obs.prefix_hit.record(job.start.elapsed());
-                Ok(UpstreamNext::Done)
-            }
-            UpstreamOutcome::StreamFailed { mismatch } => {
-                if mismatch {
-                    // New length or status: the head already sent is
-                    // stale. Drop the poisoned prefix; the next request
-                    // misses and re-primes.
-                    shared.bodies.remove(r);
-                }
-                count_relay_error(&shared, &job);
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "suffix relay failed",
-                ))
-            }
+    use crate::reactor::{StreamSpec, UpstreamNext, UpstreamOutcome};
+    let stream = StreamSpec {
+        threshold: 0,
+        prefix_bytes: 0,
+        skip: head_len,
+        expect_total: Some(total),
+        head: Box::new(|_resp, _total, _out| {}),
+    };
+    let finish = move |shared: Arc<ProxyShared>,
+                       job: UpstreamJob,
+                       _scratch: &mut ConnScratch,
+                       _out: &mut Vec<u8>,
+                       outcome| {
+        let end = match outcome {
+            UpstreamOutcome::Streamed { .. } => SuffixEnd::Complete,
+            UpstreamOutcome::StreamFailed { mismatch: true } => SuffixEnd::Mismatch,
             // `expect_total` forces every parsed head through the relay
             // decision, so a buffered Response cannot arrive; Failed
             // (dial error, pre-engage I/O death) is terminal too — the
             // prefix head is already on the wire, no 502 may follow it.
-            UpstreamOutcome::Failed | UpstreamOutcome::Response(_) => {
-                count_relay_error(&shared, &job);
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "suffix exchange failed",
-                ))
-            }
-        }),
-    }
-}
-
-/// Serve the entry a just-landed speculation installed (the reactor
-/// analog of [`complete_upstream`]'s `claim_or_join == true` path);
-/// `None` when the speculation resolved without a serveable entry and the
-/// demand fetch should proceed.
-#[cfg(target_os = "linux")]
-fn serve_settled_speculation(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-    scratch: &mut ConnScratch,
-    out: &mut Vec<u8>,
-) -> io::Result<Option<crate::reactor::Served>> {
-    let now = shared.clock.now();
-    let path = job.path.as_str();
-    let cached = shared
-        .table
-        .read()
-        .lookup(path)
-        .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-    let Some((r, snap)) = cached else {
-        return Ok(None);
+            _ => SuffixEnd::Failed,
+        };
+        settle_prefix_hit(&shared, &job, r, total, end).map(|()| UpstreamNext::Done)
     };
-    // The lookup flipped `used`; settle the speculation even if the body
-    // vanishes before we can serve it.
-    prefetch::note_speculative_hit(&shared.stats, &snap);
-    let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) else {
-        return Ok(None);
-    };
-    shared.stats.cache_hits.fetch_add(1, Relaxed);
-    shared.stats.fresh_hits.fetch_add(1, Relaxed);
-    if shared.cfg.report_hits {
-        shared.reporter.lock().record_hit(path);
-    }
-    shared.obs.fresh_hit.record(job.start.elapsed());
-    write_hit(out, scratch, &body, snap.last_modified)?;
-    Ok(Some(crate::reactor::Served::Inline))
-}
-
-/// Serialize the upstream GET exactly as [`exchange_upstream`] puts it on
-/// the wire — same serializer, same header order — so the origin sees
-/// identical bytes from both I/O modes.
-#[cfg(target_os = "linux")]
-fn serialize_upstream_request(
-    path: &str,
-    validate_lm: Option<Timestamp>,
-    filter: &ProxyFilter,
-    report: Option<&str>,
-    scratch: &mut ConnScratch,
-) -> Vec<u8> {
-    let mut req = Request::new("GET", path);
-    req.headers.insert("Host", "origin");
-    req.headers.insert("TE", "chunked");
-    req.headers
-        .insert(PIGGY_FILTER_HEADER, &filter.to_header_value());
-    // `accept_push` never reaches the nonblocking path (it needs the
-    // synchronous pushed-response drain), so no `Piggy-push` here.
-    if let Some(r) = report {
-        req.headers.insert(PIGGY_REPORT_HEADER, r);
-    }
-    if let Some(lm) = validate_lm {
-        let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-        req.headers
-            .insert("If-Modified-Since", &format_rfc1123(unix));
-    }
-    let mut buf = Vec::with_capacity(256);
-    req.write_with(&mut buf, scratch)
-        .expect("serializing to a Vec cannot fail");
-    buf
-}
-
-/// The [`StreamSpec`] a reactor-mode demand miss carries when streaming
-/// is enabled: engage on CL-framed 200s at or above the threshold, tee
-/// the configured prefix, and serialize the same client head as the
-/// threaded cut-through. Chunked origin responses stay buffered in
-/// reactor mode — the piggyback rides chunked trailers, and those bodies
-/// fit the buffered exchange; the threaded engine covers chunked
-/// streaming.
-#[cfg(target_os = "linux")]
-fn reactor_stream_spec(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-) -> Option<crate::reactor::StreamSpec> {
-    use crate::reactor::StreamSpec;
-    if !reactor_streaming_eligible(shared, job) {
-        return None;
-    }
-    let sh = Arc::clone(shared);
-    Some(StreamSpec {
-        threshold: shared.cfg.stream_threshold,
-        prefix_bytes: shared.cfg.prefix_bytes,
-        skip: 0,
-        expect_total: None,
-        head: Box::new(move |resp, _scratch, out| {
-            // Same head as the threaded `stream_miss`: `Last-Modified` +
-            // `X-Cache: MISS`, Content-Length framing (the relay only
-            // engages on CL-framed 200s).
-            let now = sh.clock.now();
-            let lm = resp
-                .headers
-                .get("Last-Modified")
-                .and_then(parse_rfc1123)
-                .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-                .unwrap_or(now);
-            let mut client_head = Response::new(200);
-            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-            client_head
-                .headers
-                .insert("Last-Modified", &format_rfc1123(unix));
-            client_head.headers.insert("X-Cache", "MISS");
-            let total = piggyback_httpwire::parse::content_length(&resp.headers)
-                .ok()
-                .flatten()
-                .expect("relay engages only with a declared length");
-            encode_stream_head(&client_head, StreamFraming::Length(total), out);
-            Ok(())
-        }),
-    })
-}
-
-/// Build the nonblocking plan for a miss/validation. The reactor dials
-/// (or reuses) a shard-owned origin connection and runs the continuation
-/// on the reactor thread once the exchange resolves; the continuation
-/// replays [`complete_upstream`]'s phase 3 — same counters, same
-/// piggyback order, same histograms — so the two I/O modes stay
-/// observationally identical.
-#[cfg(target_os = "linux")]
-fn first_exchange_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    scratch: &mut ConnScratch,
-) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let request = serialize_upstream_request(
-        &job.path,
-        job.validate_lm,
-        &job.filter,
-        job.report.as_deref(),
-        scratch,
-    );
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    let stream = reactor_stream_spec(&shared, &job);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        stream,
-        finish: Box::new(move |scratch, out, outcome| {
-            let resp = match outcome {
-                UpstreamOutcome::Failed => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    shared.obs.error.record(job.start.elapsed());
-                    Response::new(502).write_with(out, scratch)?;
-                    return Ok(UpstreamNext::Done);
-                }
-                UpstreamOutcome::Streamed {
-                    head,
-                    total,
-                    prefix,
-                } => {
-                    // The relay already delivered head + body; this is the
-                    // threaded `stream_miss` completion tail: counters,
-                    // registration, prefix retention, piggyback order.
-                    let now = shared.clock.now();
-                    let lm = head
-                        .headers
-                        .get("Last-Modified")
-                        .and_then(parse_rfc1123)
-                        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-                        .unwrap_or(now);
-                    shared.stats.full_fetches.fetch_add(1, Relaxed);
-                    shared.stats.streamed_misses.fetch_add(1, Relaxed);
-                    shared
-                        .stats
-                        .bytes_from_origin
-                        .fetch_add(total as u64, Relaxed);
-                    let r = shared
-                        .table
-                        .write()
-                        .register_path(&job.path, total as u64, lm);
-                    if !prefix.is_empty() && prefix.len() < total {
-                        shared.bodies.insert(r, Body::prefix(prefix, total));
-                    }
-                    // CL-framed responses carry no trailers, so no
-                    // piggyback rode this exchange; process the empty
-                    // message for ordering parity with the threaded path.
-                    process_piggyback(&shared, &head, job.source, now);
-                    shared.obs.full_fetch.record(job.start.elapsed());
-                    return Ok(UpstreamNext::Done);
-                }
-                UpstreamOutcome::StreamFailed { .. } => {
-                    // Bytes already reached the client: no 502 may follow.
-                    // Count the terminal outcome and truncate.
-                    count_relay_error(&shared, &job);
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "streaming relay failed",
-                    ));
-                }
-                UpstreamOutcome::Response(resp) => resp,
-            };
-            // Phase 3, reactor edition.
-            let now = shared.clock.now();
-            let delta = shared.cfg.freshness;
-            match resp.status {
-                304 => {
-                    let r = shared.table.read().lookup(&job.path);
-                    let body = r.and_then(|r| {
-                        shared.cache.freshen(r, now + delta);
-                        shared.bodies.get(r)
-                    });
-                    match body {
-                        Some(body) => {
-                            shared.stats.not_modified.fetch_add(1, Relaxed);
-                            let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
-                            let result = cached_response(&body, lm, "VALIDATED");
-                            process_piggyback(&shared, &resp, job.source, now);
-                            shared.obs.not_modified.record(job.start.elapsed());
-                            result.write_with(out, scratch)?;
-                            Ok(UpstreamNext::Done)
-                        }
-                        None => {
-                            // The 304 validated an entry whose body is
-                            // gone (evicted mid-flight): chain an
-                            // unconditional refetch — same filter, no
-                            // report, no If-Modified-Since — exactly like
-                            // the threaded fallback.
-                            Ok(UpstreamNext::Again(refetch_plan(
-                                shared, job, resp, now, scratch,
-                            )))
-                        }
-                    }
-                }
-                200 => {
-                    let result = store_full_response(&shared, &job.path, &resp, now);
-                    process_piggyback(&shared, &resp, job.source, now);
-                    shared.obs.full_fetch.record(job.start.elapsed());
-                    result.write_with(out, scratch)?;
-                    Ok(UpstreamNext::Done)
-                }
-                _ => {
-                    shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                    let mut result = Response::new(resp.status);
-                    result.body = resp.body.clone();
-                    process_piggyback(&shared, &resp, job.source, now);
-                    shared.obs.passthrough.record(job.start.elapsed());
-                    result.write_with(out, scratch)?;
-                    Ok(UpstreamNext::Done)
-                }
-            }
-        }),
-    }
-}
-
-/// The chained second exchange for a 304 whose body was evicted.
-/// `piggy_now` is the first continuation's phase-3 timestamp: the
-/// threaded path processes both responses' piggybacks with it, so the
-/// reactor does too. The original 304's piggyback is processed even when
-/// the refetch fails.
-#[cfg(target_os = "linux")]
-fn refetch_plan(
-    shared: Arc<ProxyShared>,
-    job: UpstreamJob,
-    original: Response,
-    piggy_now: Timestamp,
-    scratch: &mut ConnScratch,
-) -> crate::reactor::UpstreamPlan {
-    use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
-    let request = serialize_upstream_request(&job.path, None, &job.filter, None, scratch);
-    let origin = shared.cfg.origin;
-    let retry_stats = Arc::clone(&shared);
-    UpstreamPlan {
-        origin,
-        request,
-        retry: Box::new(move || {
-            retry_stats.stats.upstream_retries.fetch_add(1, Relaxed);
-        }),
-        finish: Box::new(move |scratch, out, outcome| {
-            let mut refetch_resp = None;
-            let (result, hist) = match outcome {
-                UpstreamOutcome::Response(r2) if r2.status == 200 => {
-                    let now = shared.clock.now();
-                    let result = store_full_response(&shared, &job.path, &r2, now);
-                    refetch_resp = Some(r2);
-                    (result, &shared.obs.full_fetch)
-                }
-                UpstreamOutcome::Response(r2) => {
-                    shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                    let mut result = Response::new(r2.status);
-                    result.body = r2.body.clone();
-                    refetch_resp = Some(r2);
-                    (result, &shared.obs.passthrough)
-                }
-                UpstreamOutcome::Failed => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    (Response::new(502), &shared.obs.error)
-                }
-                UpstreamOutcome::Streamed { .. } | UpstreamOutcome::StreamFailed { .. } => {
-                    unreachable!("refetch plan carries no StreamSpec")
-                }
-            };
-            process_piggyback(&shared, &original, job.source, piggy_now);
-            if let Some(r2) = &refetch_resp {
-                process_piggyback(&shared, r2, job.source, piggy_now);
-            }
-            hist.record(job.start.elapsed());
-            result.write_with(out, scratch)?;
-            Ok(UpstreamNext::Done)
-        }),
-        // The refetch materializes a cacheable body; never streamed.
-        stream: None,
-    }
+    reactor_plan(shared, job, Leg::Suffix, Some(stream), scratch, finish)
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result<()> {
@@ -1005,81 +695,161 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
         .peer_addr()
         .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
     let mut scratch = ConnScratch::new();
-    match shared.cfg.wire {
-        WireMode::ZeroCopy => {
-            // Steady state allocates nothing per request: the request is
-            // parsed into reused buffers, a hit clones the shared body
-            // (refcount bump), and the response head is formatted into
-            // the scratch and emitted together with the referenced body
-            // bytes in one vectored write.
-            let mut writer = stream;
-            let mut req = Request::empty();
-            loop {
-                match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
-                    Ok(()) => {}
-                    Err(e) if e.body_too_large() => {
-                        // An oversized request body is the client's
-                        // mistake, not a dead connection: say so (413)
-                        // before closing, instead of silently hanging up
-                        // mid-upload.
-                        let _ = Response::new(413).write_with(&mut writer, &mut scratch);
-                        return Ok(());
-                    }
-                    Err(_) => return Ok(()),
-                }
-                let keep = req.keep_alive();
-                match plan_request(&req, shared, source) {
-                    Step::Reply(Reply::Hit { body, lm, .. }) => {
-                        write_hit(&mut writer, &mut scratch, &body, lm)?
-                    }
-                    Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
-                    Step::Upstream(job) if streaming_eligible(shared, &job) => {
-                        stream_exchange(shared, job, &mut writer, &mut scratch)?
-                    }
-                    Step::Upstream(job) => {
-                        let resp = complete_upstream(shared, job, &mut scratch);
-                        resp.write_with(&mut writer, &mut scratch)?
-                    }
-                }
-                if !keep {
-                    return Ok(());
-                }
+    // Steady state allocates nothing per request: the request is parsed
+    // into reused buffers, a hit clones the shared body (refcount bump),
+    // and the response head is formatted into the scratch and emitted
+    // together with the referenced body bytes in one vectored write.
+    let mut req = Request::empty();
+    loop {
+        match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
+            Ok(()) => {}
+            Err(e) if e.body_too_large() => {
+                // An oversized request body is the client's mistake, not
+                // a dead connection: say so (413) before closing, instead
+                // of silently hanging up mid-upload.
+                let _ = Response::new(413).write_with(&mut writer, &mut scratch);
+                return Ok(());
             }
+            Err(_) => return Ok(()),
         }
-        WireMode::Buffered => {
-            let mut writer = BufWriter::new(stream);
-            loop {
-                // Seed-cost parse (fresh allocations per request), but
-                // honoring the configured client body cap.
-                let req = {
-                    let mut req = Request::empty();
-                    let mut rs = ConnScratch::new();
-                    match req.read_into_capped(&mut reader, &mut rs, shared.cfg.client_body_cap) {
-                        Ok(()) => req,
-                        Err(e) if e.body_too_large() => {
-                            let _ = Response::new(413).write(&mut writer);
-                            return Ok(());
-                        }
-                        Err(_) => return Ok(()),
-                    }
-                };
-                let keep = req.keep_alive();
-                let resp = match handle_request(&req, shared, source, &mut scratch) {
-                    // Replicate the seed hit cost: an owned copy of the
-                    // cached bytes into the response.
-                    Reply::Hit { body, lm, .. } => {
-                        cached_response(&Body::from(body.as_slice()), lm, "HIT")
-                    }
-                    Reply::Full(resp) => resp,
-                };
-                resp.write(&mut writer)?;
-                if !keep {
-                    return Ok(());
-                }
+        let keep = req.keep_alive();
+        match plan_request(&req, shared, source) {
+            Step::Reply(Reply::Hit { body, lm, .. }) => {
+                write_hit(&mut writer, &mut scratch, &body, lm)?
+            }
+            Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
+            Step::Upstream(job) => serve_upstream(shared, job, &mut writer, &mut scratch)?,
+        }
+        if !keep {
+            return Ok(());
+        }
+    }
+}
+
+/// The blocking upstream leg: runs on the connection's own thread in
+/// threaded mode, on an offload worker in reactor mode. `job.start` spans
+/// planning, any queue wait, and the exchange, so latency histograms mean
+/// the same thing in both I/O modes.
+fn serve_upstream<W: Write>(
+    shared: &Arc<ProxyShared>,
+    job: UpstreamJob,
+    w: &mut W,
+    scratch: &mut ConnScratch,
+) -> io::Result<()> {
+    // A plain miss may be racing a speculative fetch of the same path:
+    // cancel it while still queued (the demand fetch wins outright), or
+    // join it once on the wire — park until the speculation lands and
+    // serve its entry, so the origin sees exactly one fetch either way.
+    if job.validate_lm.is_none() {
+        if let Some(p) = shared.prefetcher.get() {
+            if p.claim_or_join(shared, &job.path) && serve_speculation(shared, &job, w, scratch)? {
+                return Ok(());
             }
         }
     }
+    if streaming_eligible(shared, &job) {
+        return match prefix_entry(shared, &job.path) {
+            Some((r, head)) => serve_prefix_hit(shared, job, r, head, w, scratch),
+            None => stream_miss(shared, job, w, scratch),
+        };
+    }
+    let first = exchange_upstream(shared, &job, Leg::First, scratch);
+    reply_upstream(shared, &job, first, w, scratch)
+}
+
+/// Settle a buffered result and write the reply, running the refetch a
+/// body-less 304 asks for.
+fn reply_upstream<W: Write>(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    result: Option<Exchanged>,
+    w: &mut W,
+    scratch: &mut ConnScratch,
+) -> io::Result<()> {
+    let reply = match settle(shared, job, result) {
+        Settled::Reply(reply) => reply,
+        Settled::Refetch(pending) => {
+            let second = exchange_upstream(shared, job, Leg::Refetch, scratch);
+            settle_refetch(shared, job, pending, second)
+        }
+    };
+    reply.write_with(w, scratch)
+}
+
+/// Send `req` over a pooled origin connection and read the answer with
+/// `read`. A failure after the dial (a stale keep-alive, or an origin
+/// that died under the first request) retries once on a fresh
+/// connection, bumping `retries`.
+pub(crate) fn send_upstream<T>(
+    shared: &ProxyShared,
+    retries: &AtomicU64,
+    req: &Request,
+    scratch: &mut ConnScratch,
+    read: impl Fn(&mut PooledConn) -> Result<T, HttpError>,
+) -> Result<(PooledConn, T), HttpError> {
+    for attempt in 0..2 {
+        if attempt == 1 {
+            retries.fetch_add(1, Relaxed);
+        }
+        let mut conn = if attempt == 0 {
+            shared.pool.checkout()?
+        } else {
+            shared.pool.connect_fresh()?
+        };
+        let sent = req
+            .write_with(&mut conn.writer, scratch)
+            .map_err(HttpError::from)
+            .and_then(|()| read(&mut conn));
+        match sent {
+            Ok(v) => return Ok((conn, v)),
+            Err(_) if attempt == 0 => {}
+            Err(e) => return Err(e),
+        }
+    }
+    unreachable!("retry loop always returns by the second attempt")
+}
+
+/// One buffered upstream exchange. The connection returns to the pool
+/// only after the response — trailers and any server-pushed responses
+/// included — was read to completion. With `accept_push` the request
+/// carries `Piggy-push: accept`, and the full pushed responses the origin
+/// streamed after the main one (announced by its `X-Push-Count` header)
+/// come back alongside it.
+fn exchange_upstream(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    leg: Leg,
+    scratch: &mut ConnScratch,
+) -> Option<Exchanged> {
+    let req = upstream_request(shared, job, leg);
+    let (mut conn, resp) =
+        send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
+            Response::read(&mut c.reader, false)
+        })
+        .ok()?;
+    let announced = if shared.cfg.accept_push {
+        resp.headers
+            .get(PUSH_COUNT_HEADER)
+            .and_then(|v| v.parse::<usize>().ok())
+            .unwrap_or(0)
+    } else {
+        0
+    };
+    // `announced` comes from the origin: grow as responses land rather
+    // than reserving for it up front.
+    let mut pushed = Vec::new();
+    for _ in 0..announced {
+        match Response::read(&mut conn.reader, false) {
+            Ok(p) => pushed.push(p),
+            // Mid-push failure: keep what landed and drop the connection
+            // (read position unknown) — the main exchange succeeded.
+            Err(_) => return Some((resp, pushed)),
+        }
+    }
+    shared.pool.checkin(conn);
+    Some((resp, pushed))
 }
 
 /// Decoded-payload bytes each streaming relay segment targets before the
@@ -1090,41 +860,21 @@ const STREAM_SEGMENT: usize = 16 * 1024;
 
 /// Whether `job` may take the streaming cut-through path: plain demand
 /// misses only. Validations stay buffered (a 304 needs the full-response
-/// exchange), Legacy mode has no pool to keep suffix connections on,
-/// `--accept-push` drains pushed responses synchronously off the origin
-/// stream mid-exchange, and an active prefetcher's claim/join protocol
-/// expects every miss to materialize a cacheable body — all of those
-/// keep the buffered path.
+/// exchange), `--accept-push` drains pushed responses synchronously off
+/// the origin stream mid-exchange, and an active prefetcher's claim/join
+/// protocol expects every miss to materialize a cacheable body — all of
+/// those keep the buffered path.
 fn streaming_eligible(shared: &ProxyShared, job: &UpstreamJob) -> bool {
     shared.cfg.stream_threshold > 0
         && job.validate_lm.is_none()
-        && shared.pool.is_some()
         && !shared.cfg.accept_push
         && shared.prefetcher.get().is_none()
 }
 
-/// A miss on the streaming path: probe for a retained prefix first (serve
-/// the head immediately, relay only the suffix), else run the streaming
-/// miss exchange. An `Err` from here means origin-derived bytes already
-/// reached the client and the transfer cannot be completed — the caller
-/// drops the connection, the only honest signal left (a `Content-Length`
-/// client sees the truncation; a chunked client sees the missing terminal
-/// chunk).
-fn stream_exchange<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: UpstreamJob,
-    w: &mut W,
-    scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let prefix = shared
-        .table
-        .read()
-        .lookup(&job.path)
-        .and_then(|r| shared.bodies.get_prefix(r).map(|b| (r, b)));
-    match prefix {
-        Some((r, head)) => serve_prefix_hit(shared, job, r, head, w, scratch),
-        None => stream_miss(shared, job, w, scratch),
-    }
+/// The retained prefix entry for `path`, if any.
+fn prefix_entry(shared: &ProxyShared, path: &str) -> Option<(ResourceId, Body)> {
+    let r = shared.table.read().lookup(path)?;
+    shared.bodies.get_prefix(r).map(|b| (r, b))
 }
 
 /// Append the leading bytes of `seg` into `prefix` until it holds `want`.
@@ -1137,213 +887,109 @@ fn tee_prefix(prefix: &mut Vec<u8>, want: usize, seg: &[u8]) {
 
 /// Serve a prefix hit: the retained head goes out immediately — no origin
 /// round trip gates the client's first byte, which is the whole TTFB win —
-/// then the suffix is refetched over the keep-alive pool and relayed. The
-/// refetch is a plain GET (no `TE: chunked`, no `Piggy-filter`), so the
-/// origin answers with `Content-Length` framing and no piggyback, and the
-/// declared length validates the prefix against the recorded total: any
-/// mismatch means the object changed underneath the prefix, which is then
-/// dropped as stale.
+/// then the suffix is refetched over the keep-alive pool and relayed. An
+/// `Err` from here means origin-derived bytes already reached the client
+/// and the transfer cannot be completed — the caller drops the
+/// connection, the only honest signal left.
 fn serve_prefix_hit<W: Write>(
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
     job: UpstreamJob,
     r: ResourceId,
     head: Body,
     w: &mut W,
     scratch: &mut ConnScratch,
 ) -> io::Result<()> {
-    let pool = shared.pool.as_ref().expect("streaming requires the pool");
     let total = head.total_len();
     let head_len = head.len();
     scratch.out.clear();
-    write!(
-        scratch.out,
-        "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
-    )?;
+    write_prefix_head(&mut scratch.out, total)?;
     write_all_parts(w, &[scratch.out.as_slice(), head.as_slice()])
+        .and_then(|()| w.flush())
         .map_err(|e| client_relay_err(shared, &job, e))?;
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    // Suffix exchange. Retrying is safe until origin payload bytes are
-    // relayed: only request bytes and the cache-served head are out.
-    let mut exchange = None;
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let dial = if attempt == 0 {
-            pool.checkout()
-        } else {
-            pool.connect_fresh()
-        };
-        let Ok(mut c) = dial else { continue };
-        let mut req = Request::new("GET", &job.path);
-        req.headers.insert("Host", "origin");
-        let sent = req
-            .write_with(&mut c.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut c.reader));
-        match sent {
-            Ok(resp) => {
-                exchange = Some((c, resp));
-                break;
-            }
-            Err(_) => continue,
-        }
-    }
-    let Some((mut conn, resp)) = exchange else {
-        return relay_abort(shared, &job, "suffix exchange failed");
+    // Retrying is safe until origin payload bytes are relayed: only
+    // request bytes and the cache-served head are out.
+    let req = upstream_request(shared, &job, Leg::Suffix);
+    let sent = send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
+        Response::read_head(&mut c.reader)
+    });
+    let Ok((mut conn, resp)) = sent else {
+        return settle_prefix_hit(shared, &job, r, total, SuffixEnd::Failed);
     };
     let declared = (resp.status == 200
         && !resp.headers.list_contains("Transfer-Encoding", "chunked"))
     .then(|| piggyback_httpwire::parse::content_length(&resp.headers))
     .and_then(|cl| cl.ok().flatten());
     if declared != Some(total) {
-        // New length or status: the head already sent is stale. Drop the
-        // poisoned prefix with the client connection; the next request
-        // misses and re-primes.
-        shared.bodies.remove(r);
-        return relay_abort(shared, &job, "prefix no longer matches the origin object");
+        return settle_prefix_hit(shared, &job, r, total, SuffixEnd::Mismatch);
     }
     // Decode `total` payload bytes, drop the first `head_len` (already
     // served from cache), forward the rest as it arrives.
     let mut reader = BodyReader::length(total);
     let mut seg = Vec::new();
     let mut seen = 0usize;
-    while !reader.is_done() {
-        match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
-            Ok(0) => break,
-            Ok(n) => {
-                let skip = head_len.saturating_sub(seen).min(n);
-                w.write_all(&seg[skip..])
-                    .map_err(|e| client_relay_err(shared, &job, e))?;
-                w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-                seen += n;
-            }
-            // The origin died mid-suffix: the prefix itself is still
-            // valid (nothing contradicted it) — keep it; only the
-            // transfer failed.
-            Err(_) => return relay_abort(shared, &job, "origin died mid-suffix"),
+    loop {
+        let Ok(n) = reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) else {
+            return settle_prefix_hit(shared, &job, r, total, SuffixEnd::Failed);
+        };
+        let skip = head_len.saturating_sub(seen).min(n);
+        seen += n;
+        if reader.is_done() {
+            // The origin side is complete: settle before the final client
+            // write, so a client holding the whole body never reads stats
+            // that miss its outcome.
+            shared.pool.checkin(conn);
+            settle_prefix_hit(shared, &job, r, total, SuffixEnd::Complete)?;
+            return w.write_all(&seg[skip..]).and_then(|()| w.flush());
         }
+        w.write_all(&seg[skip..])
+            .and_then(|()| w.flush())
+            .map_err(|e| client_relay_err(shared, &job, e))?;
     }
-    pool.checkin(conn);
-    shared.stats.cache_hits.fetch_add(1, Relaxed);
-    shared.stats.prefix_hits.fetch_add(1, Relaxed);
-    // Range-free refetch: the origin resent the whole object (bandwidth
-    // is unchanged; latency-to-first-byte is what the prefix buys).
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(total as u64, Relaxed);
-    shared.obs.prefix_hit.record(job.start.elapsed());
-    Ok(())
-}
-
-/// Terminal failure after relay bytes reached the client: count the one
-/// terminal outcome and hand the caller an `Err` so the (now truncated)
-/// client connection closes. The origin connection is dropped by the
-/// caller simply by not checking it in.
-fn relay_abort(shared: &ProxyShared, job: &UpstreamJob, why: &'static str) -> io::Result<()> {
-    count_relay_error(shared, job);
-    Err(io::Error::new(io::ErrorKind::UnexpectedEof, why))
-}
-
-/// The single terminal outcome for a mid-relay failure on *either* side.
-/// `requests` was counted at plan time, so every streaming client write
-/// routes its error through here exactly once — conservation
-/// (`requests == Σ outcomes`) holds even when the client dies mid-body.
-fn count_relay_error(shared: &ProxyShared, job: &UpstreamJob) {
-    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-    shared.obs.error.record(job.start.elapsed());
-}
-
-/// `map_err` adapter for client-side writes inside a relay: count the
-/// terminal outcome, pass the error through (the caller's `?` drops the
-/// connection).
-fn client_relay_err(shared: &ProxyShared, job: &UpstreamJob, e: io::Error) -> io::Error {
-    count_relay_error(shared, job);
-    e
 }
 
 /// A streaming-eligible miss: run the usual piggyback GET, decide from
 /// the response head alone whether to cut through. Small objects and
-/// non-200s fall back to the buffered store-and-serve path with exactly
-/// the counters and piggyback processing [`complete_upstream`] applies;
-/// large ones relay segment by segment while the first `--prefix-bytes`
-/// tee into the body store as a [`Body::prefix`] entry. Streamed objects
-/// are deliberately never cached whole.
+/// non-200s fall back to the buffered settlement; large ones relay
+/// segment by segment while the first `--prefix-bytes` tee into the body
+/// store as a [`Body::prefix`] entry. Streamed objects are deliberately
+/// never cached whole. Errors after the client head are truncations, as
+/// in [`serve_prefix_hit`].
 fn stream_miss<W: Write>(
-    shared: &Arc<ProxyShared>,
+    shared: &ProxyShared,
     job: UpstreamJob,
     w: &mut W,
     scratch: &mut ConnScratch,
 ) -> io::Result<()> {
-    let pool = shared.pool.as_ref().expect("streaming requires the pool");
     let threshold = shared.cfg.stream_threshold;
-    let mut exchange = None;
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let dial = if attempt == 0 {
-            pool.checkout()
-        } else {
-            pool.connect_fresh()
-        };
-        let Ok(mut c) = dial else { continue };
-        let mut req = Request::new("GET", &job.path);
-        req.headers.insert("Host", "origin");
-        req.headers.insert("TE", "chunked");
-        req.headers
-            .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
-        if let Some(rep) = &job.report {
-            req.headers.insert(PIGGY_REPORT_HEADER, rep);
-        }
-        let sent = req
-            .write_with(&mut c.writer, scratch)
-            .map_err(HttpError::from)
-            .and_then(|()| Response::read_head(&mut c.reader));
-        match sent {
-            Ok(resp) => {
-                exchange = Some((c, resp));
-                break;
-            }
-            Err(_) => continue,
-        }
-    }
-    let Some((mut conn, mut resp)) = exchange else {
-        // No client byte has moved: a clean 502, like the buffered path.
-        shared.stats.upstream_errors.fetch_add(1, Relaxed);
-        shared.obs.error.record(job.start.elapsed());
-        return Response::new(502).write_with(w, scratch);
+    let req = upstream_request(shared, &job, Leg::First);
+    let sent = send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
+        Response::read_head(&mut c.reader)
+    });
+    // Until the client head goes out, every failure is a clean 502.
+    let Ok((mut conn, mut resp)) = sent else {
+        return reply_upstream(shared, &job, None, w, scratch);
     };
-    let now = shared.clock.now();
     let chunked = resp.headers.list_contains("Transfer-Encoding", "chunked");
     let declared = if chunked {
         None
     } else {
         match piggyback_httpwire::parse::content_length(&resp.headers) {
             Ok(cl) => cl,
-            Err(_) => {
-                shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                shared.obs.error.record(job.start.elapsed());
-                return Response::new(502).write_with(w, scratch);
-            }
+            Err(_) => return reply_upstream(shared, &job, None, w, scratch),
         }
     };
     let large_cl = resp.status == 200 && declared.is_some_and(|n| n >= threshold);
     let chunked_200 = resp.status == 200 && chunked;
     if !large_cl && !chunked_200 {
-        // Small fixed-length 200s, bodiless statuses, passthrough errors:
-        // buffer the rest and rejoin the stock phase-3 path.
+        // Small fixed-length 200s, bodiless statuses, passthrough errors.
         if resp
             .read_rest(&mut conn.reader, piggyback_httpwire::parse::MAX_BODY)
             .is_err()
         {
-            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-            shared.obs.error.record(job.start.elapsed());
-            return Response::new(502).write_with(w, scratch);
+            return reply_upstream(shared, &job, None, w, scratch);
         }
-        pool.checkin(conn);
-        return finish_buffered_miss(shared, &job, resp, now, w, scratch);
+        shared.pool.checkin(conn);
+        return reply_upstream(shared, &job, Some((resp, Vec::new())), w, scratch);
     }
     // A 200 whose body may be large. Fixed-length bodies know their size
     // up front; chunked ones accumulate until the threshold proves the
@@ -1353,152 +999,75 @@ fn stream_miss<W: Write>(
         None => BodyReader::chunked(),
     };
     let mut buffered: Vec<u8> = Vec::new();
+    let mut seg = Vec::new();
     if !large_cl {
-        let mut seg = Vec::new();
         while !reader.is_done() && buffered.len() < threshold {
             match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
                 Ok(0) => break,
                 Ok(_) => buffered.extend_from_slice(&seg),
-                Err(_) => {
-                    shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                    shared.obs.error.record(job.start.elapsed());
-                    return Response::new(502).write_with(w, scratch);
-                }
+                Err(_) => return reply_upstream(shared, &job, None, w, scratch),
             }
         }
         if reader.is_done() {
-            // Small chunked object: exactly the buffered path.
             resp.body = Body::from(buffered);
             for (n, v) in reader.trailers().iter() {
                 resp.trailers.insert(n, v);
             }
-            pool.checkin(conn);
-            return finish_buffered_miss(shared, &job, resp, now, w, scratch);
+            shared.pool.checkin(conn);
+            return reply_upstream(shared, &job, Some((resp, Vec::new())), w, scratch);
         }
     }
-    // Cut through. The client head carries the same headers as a buffered
-    // MISS (`Last-Modified` + `X-Cache: MISS`), framed by what we know:
-    // `Content-Length` when the origin declared one, chunked otherwise.
-    // From here on a failure truncates the client — see [`relay_abort`].
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
-    let mut client_head = Response::new(200);
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    client_head
-        .headers
-        .insert("Last-Modified", &format_rfc1123(unix));
-    client_head.headers.insert("X-Cache", "MISS");
+    // Cut through, framed by what we know: `Content-Length` when the
+    // origin declared one, chunked otherwise.
     let framing = match declared {
         Some(n) => StreamFraming::Length(n),
         None => StreamFraming::Chunked,
     };
     scratch.out.clear();
-    encode_stream_head(&client_head, framing, &mut scratch.out);
-    w.write_all(&scratch.out)
-        .map_err(|e| client_relay_err(shared, &job, e))?;
+    write_stream_head(shared, &resp, framing, &mut scratch.out);
     let mut writer = match declared {
         Some(n) => BodyWriter::length(n),
         None => BodyWriter::chunked(),
     };
     let prefix_want = shared.cfg.prefix_bytes;
     let mut prefix = Vec::with_capacity(prefix_want.min(1 << 20));
-    if !buffered.is_empty() {
-        tee_prefix(&mut prefix, prefix_want, &buffered);
+    tee_prefix(&mut prefix, prefix_want, &buffered);
+    w.write_all(&scratch.out)
+        .and_then(|()| writer.push(&buffered, w))
+        .and_then(|()| w.flush())
+        .map_err(|e| client_relay_err(shared, &job, e))?;
+    drop(buffered);
+    loop {
+        if reader
+            .read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT)
+            .is_err()
+        {
+            return relay_abort(shared, &job, "origin died mid-relay");
+        }
+        tee_prefix(&mut prefix, prefix_want, &seg);
+        if reader.is_done() {
+            // Origin side complete: settle, then the final client write.
+            // The proxy consumes the piggyback trailer; the client gets a
+            // clean end of body.
+            shared.pool.checkin(conn);
+            settle_streamed_miss(
+                shared,
+                &job,
+                &resp,
+                reader.trailers(),
+                reader.decoded(),
+                prefix,
+            );
+            return writer
+                .push(&seg, w)
+                .and_then(|()| writer.finish(&HeaderMap::new(), w))
+                .and_then(|()| w.flush());
+        }
         writer
-            .push(&buffered, w)
+            .push(&seg, w)
+            .and_then(|()| w.flush())
             .map_err(|e| client_relay_err(shared, &job, e))?;
     }
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    drop(buffered);
-    let mut seg = Vec::new();
-    while !reader.is_done() {
-        match reader.read_segment(&mut conn.reader, &mut seg, STREAM_SEGMENT) {
-            Ok(0) => break,
-            Ok(_) => {
-                tee_prefix(&mut prefix, prefix_want, &seg);
-                writer
-                    .push(&seg, w)
-                    .map_err(|e| client_relay_err(shared, &job, e))?;
-                w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-            }
-            Err(_) => return relay_abort(shared, &job, "origin died mid-relay"),
-        }
-    }
-    // The origin's piggyback rode the chunked trailers (if any); the
-    // client gets a clean end of body — the proxy consumes the trailer,
-    // exactly like the buffered path.
-    writer
-        .finish(&HeaderMap::new(), w)
-        .map_err(|e| client_relay_err(shared, &job, e))?;
-    w.flush().map_err(|e| client_relay_err(shared, &job, e))?;
-    pool.checkin(conn);
-    let total = reader.decoded();
-    shared.stats.full_fetches.fetch_add(1, Relaxed);
-    shared.stats.streamed_misses.fetch_add(1, Relaxed);
-    shared
-        .stats
-        .bytes_from_origin
-        .fetch_add(total as u64, Relaxed);
-    let r = shared
-        .table
-        .write()
-        .register_path(&job.path, total as u64, lm);
-    if prefix_want > 0 && prefix.len() < total {
-        // The tee becomes a prefix entry — never a whole-object body.
-        shared.bodies.insert(r, Body::prefix(prefix, total));
-    }
-    let mut shell = Response::new(200);
-    for (n, v) in reader.trailers().iter() {
-        shell.trailers.insert(n, v);
-    }
-    process_piggyback(shared, &shell, job.source, now);
-    shared.obs.full_fetch.record(job.start.elapsed());
-    Ok(())
-}
-
-/// Rejoin the stock miss path for a response the streaming engine ended
-/// up buffering (small object or passthrough status): same counters,
-/// same piggyback ordering, same histograms as [`complete_upstream`].
-/// A 304 cannot reach here — the streaming path never sends
-/// `If-Modified-Since`.
-fn finish_buffered_miss<W: Write>(
-    shared: &Arc<ProxyShared>,
-    job: &UpstreamJob,
-    resp: Response,
-    now: Timestamp,
-    w: &mut W,
-    scratch: &mut ConnScratch,
-) -> io::Result<()> {
-    let (result, hist) = if resp.status == 200 {
-        (
-            store_full_response(shared, &job.path, &resp, now),
-            &shared.obs.full_fetch,
-        )
-    } else {
-        shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-        let mut out = Response::new(resp.status);
-        out.body = resp.body.clone();
-        (out, &shared.obs.passthrough)
-    };
-    process_piggyback(shared, &resp, job.source, now);
-    hist.record(job.start.elapsed());
-    result.write_with(w, scratch)
-}
-
-/// The plan phase 1 hands to the rest of the request.
-enum Plan {
-    /// Body, `Last-Modified`, and the entry's expiry (the reactor's
-    /// affine L1 needs the expiry to re-check freshness at serve time).
-    ServeFresh(Body, Timestamp, Timestamp),
-    Fetch {
-        validate_lm: Option<Timestamp>,
-        filter: ProxyFilter,
-        report: Option<String>,
-    },
 }
 
 /// What a request resolves to: a fresh cache hit served straight from the
@@ -1517,14 +1086,14 @@ enum Reply {
 /// What the lock-scoped planning phase resolved a request to: an
 /// immediately-serveable reply, or a description of the upstream work
 /// still owed. Splitting here lets the reactor serve `Reply` inline and
-/// ship `UpstreamJob` (self-contained: owned path, filter, drained
-/// report) to an offload worker without borrowing the request.
+/// carry `UpstreamJob` (self-contained: owned path, filter, drained
+/// report) into a continuation without borrowing the request.
 enum Step {
     Reply(Reply),
     Upstream(UpstreamJob),
 }
 
-/// Everything [`complete_upstream`] needs, detached from the `Request`.
+/// Everything an upstream leg needs, detached from the `Request`.
 struct UpstreamJob {
     path: String,
     source: SocketAddr,
@@ -1534,23 +1103,25 @@ struct UpstreamJob {
     start: Instant,
 }
 
-/// The threaded entry point: plan under shard locks, then (if owed) run
-/// the blocking upstream exchange on the calling thread.
-fn handle_request(
-    req: &Request,
-    shared: &Arc<ProxyShared>,
-    source: SocketAddr,
-    scratch: &mut ConnScratch,
-) -> Reply {
-    match plan_request(req, shared, source) {
-        Step::Reply(r) => r,
-        Step::Upstream(job) => Reply::Full(complete_upstream(shared, job, scratch)),
-    }
+/// Which upstream request a job sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// The demand fetch or validation: piggyback filter, `TE: chunked`,
+    /// the drained hit report, `If-Modified-Since` when validating.
+    First,
+    /// The unconditional refetch after a 304 whose body was evicted: the
+    /// same filter, no report, no `If-Modified-Since`.
+    Refetch,
+    /// A prefix hit's suffix: a plain GET (no `TE: chunked`, no
+    /// `Piggy-filter`), so the origin answers with `Content-Length`
+    /// framing and no piggyback, and the declared length validates the
+    /// prefix against the recorded total.
+    Suffix,
 }
 
-/// Phase 1: cache consult under shard-scoped locks. Never blocks on the
-/// network, so it is safe on a reactor thread. The fresh-hit path is
-/// allocation-free; only a miss pays for the owned `UpstreamJob`.
+/// Plan a request: cache consult under shard-scoped locks. Never blocks
+/// on the network, so it is safe on a reactor thread. The fresh-hit path
+/// is allocation-free; only a miss pays for the owned `UpstreamJob`.
 fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) -> Step {
     if req.method != "GET" {
         return Step::Reply(Reply::Full(Response::new(400)));
@@ -1566,245 +1137,410 @@ fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) ->
         }));
     }
     let start = Instant::now();
-
-    // Phase 1: consult the cache (shard-scoped locks; in Legacy mode the
-    // global serializer emulates the original whole-state mutex).
-    let plan = {
-        let _g = shared.global.as_ref().map(|m| m.lock());
-        let now = shared.clock.now();
-        shared.stats.requests.fetch_add(1, Relaxed);
-        let cached = shared
-            .table
-            .read()
-            .lookup(path)
-            .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-        // First client contact with a prefetched entry settles the
-        // speculation as used — whatever the request then resolves to —
-        // because the lookup above already flipped its `used` mark.
-        if let Some((_, snap)) = &cached {
-            prefetch::note_speculative_hit(&shared.stats, snap);
+    let now = shared.clock.now();
+    shared.stats.requests.fetch_add(1, Relaxed);
+    let cached = shared
+        .table
+        .read()
+        .lookup(path)
+        .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
+    // First client contact with a prefetched entry settles the
+    // speculation as used — whatever the request then resolves to —
+    // because the lookup above already flipped its `used` mark.
+    if let Some((_, snap)) = &cached {
+        prefetch::note_speculative_hit(&shared.stats, snap);
+    }
+    let validate_lm = match cached {
+        Some((r, snap)) if snap.is_fresh(now) => {
+            // A fresh entry whose body was invalidated underneath us
+            // (concurrent piggyback) degrades to a plain fetch. A prefix
+            // entry is never a full body — serving it here would truncate
+            // the object — so it degrades the same way (the streaming path
+            // probes prefixes separately).
+            if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
+                count_fresh_hit(shared, path, start);
+                return Step::Reply(Reply::Hit {
+                    body,
+                    lm: snap.last_modified,
+                    expires: snap.expires,
+                });
+            }
+            None
         }
-        match cached {
-            Some((r, snap)) if snap.is_fresh(now) => {
-                // A fresh entry whose body was invalidated underneath us
-                // (concurrent piggyback) degrades to a plain fetch. A
-                // prefix entry is never a full body — serving it here
-                // would truncate the object — so it degrades the same
-                // way (the streaming path probes prefixes separately).
-                match shared.bodies.get(r).filter(|b| !b.is_prefix()) {
-                    Some(body) => {
-                        shared.stats.cache_hits.fetch_add(1, Relaxed);
-                        shared.stats.fresh_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        Plan::ServeFresh(body, snap.last_modified, snap.expires)
-                    }
-                    None => Plan::Fetch {
-                        validate_lm: None,
-                        filter: shared.filter_for(source, now),
-                        report: shared.reporter.lock().drain_header(),
-                    },
-                }
-            }
-            Some((_, snap)) => {
-                shared.stats.cache_hits.fetch_add(1, Relaxed);
-                shared.stats.validations.fetch_add(1, Relaxed);
-                Plan::Fetch {
-                    validate_lm: Some(snap.last_modified),
-                    filter: shared.filter_for(source, now),
-                    report: shared.reporter.lock().drain_header(),
-                }
-            }
-            None => Plan::Fetch {
-                validate_lm: None,
-                filter: shared.filter_for(source, now),
-                report: shared.reporter.lock().drain_header(),
-            },
+        Some((_, snap)) => {
+            shared.stats.cache_hits.fetch_add(1, Relaxed);
+            shared.stats.validations.fetch_add(1, Relaxed);
+            Some(snap.last_modified)
+        }
+        None => None,
+    };
+    Step::Upstream(UpstreamJob {
+        path: path.to_owned(),
+        source,
+        validate_lm,
+        filter: shared.filter_for(source, now),
+        report: shared.reporter.lock().drain_header(),
+        start,
+    })
+}
+
+/// Count a fresh hit on `path` (served from cache, no upstream exchange).
+fn count_fresh_hit(shared: &ProxyShared, path: &str, start: Instant) {
+    shared.stats.cache_hits.fetch_add(1, Relaxed);
+    shared.stats.fresh_hits.fetch_add(1, Relaxed);
+    if shared.cfg.report_hits {
+        shared.reporter.lock().record_hit(path);
+    }
+    shared.obs.fresh_hit.record(start.elapsed());
+}
+
+/// A GET for `path` carrying only `Host` — the start of every upstream
+/// request, and the whole of the plain ones (suffix relays, speculative
+/// fetches).
+pub(crate) fn plain_get(path: &str) -> Request {
+    let mut req = Request::new("GET", path);
+    req.headers.insert("Host", "origin");
+    req
+}
+
+/// The upstream request for `leg` of `job`, built once for both engines
+/// so the origin sees identical bytes from either.
+fn upstream_request(shared: &ProxyShared, job: &UpstreamJob, leg: Leg) -> Request {
+    let mut req = plain_get(&job.path);
+    if leg == Leg::Suffix {
+        return req;
+    }
+    req.headers.insert("TE", "chunked");
+    req.headers
+        .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
+    if shared.cfg.accept_push {
+        req.headers.insert(PIGGY_PUSH_HEADER, "accept");
+    }
+    if leg == Leg::First {
+        if let Some(r) = &job.report {
+            req.headers.insert(PIGGY_REPORT_HEADER, r);
+        }
+        if let Some(lm) = job.validate_lm {
+            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+            req.headers
+                .insert("If-Modified-Since", &format_rfc1123(unix));
+        }
+    }
+    req
+}
+
+/// A buffered exchange's result: the response and any server-pushed
+/// responses that followed it on the same stream.
+type Exchanged = (Response, Vec<Response>);
+
+/// What settling a buffered upstream result leaves to do.
+enum Settled {
+    /// The client reply; every counter, histogram and piggyback is applied.
+    Reply(Response),
+    /// A 304 validated an entry whose body is gone (evicted between
+    /// planning and now): serving it would hand the client an empty 200
+    /// with an epoch `Last-Modified`. The caller refetches
+    /// unconditionally ([`Leg::Refetch`]) and finishes with
+    /// [`settle_refetch`].
+    Refetch(Pending),
+}
+
+/// A body-less 304 awaiting its refetch. Its piggyback (and any pushes)
+/// apply once the refetch settles, stamped with the validation's time.
+struct Pending {
+    validation: Response,
+    pushed: Vec<Response>,
+    now: Timestamp,
+}
+
+/// Settle a buffered upstream result (`None`: the exchange failed) — the
+/// proxy's one decision per response: freshen and serve the validated
+/// copy (304), store and serve the body (200), or pass the status
+/// through uncached; then apply server pushes and the piggyback.
+fn settle(shared: &ProxyShared, job: &UpstreamJob, result: Option<Exchanged>) -> Settled {
+    let Some((resp, pushed)) = result else {
+        return Settled::Reply(fail_upstream(shared, job));
+    };
+    let now = shared.clock.now();
+    let (reply, hist) = if resp.status == 304 {
+        // The table never forgets ids, so the validated path resolves;
+        // the body may have been evicted or invalidated mid-flight.
+        let r = shared.table.read().lookup(&job.path);
+        let body = r.and_then(|r| {
+            shared.cache.freshen(r, now + shared.cfg.freshness);
+            shared.bodies.get(r)
+        });
+        let Some(body) = body else {
+            return Settled::Refetch(Pending {
+                validation: resp,
+                pushed,
+                now,
+            });
+        };
+        shared.stats.not_modified.fetch_add(1, Relaxed);
+        let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
+        (
+            cached_response(&body, lm, "VALIDATED"),
+            &shared.obs.not_modified,
+        )
+    } else {
+        store_or_pass(shared, &job.path, &resp, now)
+    };
+    apply_piggybacks(shared, job, &pushed, [Some(&resp), None], now);
+    hist.record(job.start.elapsed());
+    Settled::Reply(reply)
+}
+
+/// Finish a body-less 304 with its refetch's result. The request's
+/// histogram is its *final* outcome: a refetched validation records as a
+/// full fetch, not a validation.
+fn settle_refetch(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    pending: Pending,
+    result: Option<Exchanged>,
+) -> Response {
+    let Pending {
+        validation,
+        mut pushed,
+        now,
+    } = pending;
+    let (reply, hist, refetched) = match result {
+        Some((resp, more)) => {
+            pushed.extend(more);
+            let (reply, hist) = store_or_pass(shared, &job.path, &resp, shared.clock.now());
+            (reply, hist, Some(resp))
+        }
+        None => {
+            shared.stats.upstream_errors.fetch_add(1, Relaxed);
+            (Response::new(502), &shared.obs.error, None)
         }
     };
+    apply_piggybacks(
+        shared,
+        job,
+        &pushed,
+        [Some(&validation), refetched.as_ref()],
+        now,
+    );
+    hist.record(job.start.elapsed());
+    reply
+}
 
-    match plan {
-        Plan::ServeFresh(body, lm, expires) => {
-            shared.obs.fresh_hit.record(start.elapsed());
-            Step::Reply(Reply::Hit { body, lm, expires })
-        }
-        Plan::Fetch {
-            validate_lm,
-            filter,
-            report,
-        } => Step::Upstream(UpstreamJob {
-            path: path.to_owned(),
-            source,
-            validate_lm,
-            filter,
-            report,
-            start,
-        }),
+/// Store a 200, or pass any other status through uncached.
+fn store_or_pass<'a>(
+    shared: &'a ProxyShared,
+    path: &str,
+    resp: &Response,
+    now: Timestamp,
+) -> (Response, &'a LatencyHistogram) {
+    if resp.status == 200 {
+        return (
+            store_full_response(shared, path, resp, now),
+            &shared.obs.full_fetch,
+        );
+    }
+    shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
+    let mut out = Response::new(resp.status);
+    out.body = resp.body.clone();
+    (out, &shared.obs.passthrough)
+}
+
+/// Server-pushed volume members enter the cache before piggyback
+/// classification, so the piggyback sees them as cached entries
+/// (Freshen) instead of re-queueing them as prefetch candidates; then
+/// each response's piggyback (trailer on 200, header on 304) applies in
+/// arrival order.
+fn apply_piggybacks(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    pushed: &[Response],
+    resps: [Option<&Response>; 2],
+    now: Timestamp,
+) {
+    for p in pushed {
+        prefetch::accept_push(shared, p, now);
+    }
+    for resp in resps.into_iter().flatten() {
+        process_piggyback(shared, p_volume(resp, &resp.trailers), job.source, now);
     }
 }
 
-/// Phases 2+3: the blocking upstream exchange and the cache/piggyback
-/// update. Runs on the connection's own thread in threaded mode, on an
-/// offload worker in reactor mode. `job.start` spans planning, any queue
-/// wait, and the exchange, so latency histograms mean the same thing in
-/// both I/O modes.
-fn complete_upstream(
+/// The failed-exchange outcome while no client byte has moved: a 502.
+fn fail_upstream(shared: &ProxyShared, job: &UpstreamJob) -> Response {
+    shared.stats.upstream_errors.fetch_add(1, Relaxed);
+    shared.obs.error.record(job.start.elapsed());
+    Response::new(502)
+}
+
+/// Settle a miss whose body was relayed to the client as it arrived:
+/// count it, register the path, retain the teed prefix (never a
+/// whole-object body), and apply the piggyback that rode the chunked
+/// trailers, if any. Called once the origin side completes and before
+/// the final client write.
+fn settle_streamed_miss(
     shared: &ProxyShared,
-    job: UpstreamJob,
-    scratch: &mut ConnScratch,
-) -> Response {
-    let UpstreamJob {
-        path,
-        source,
-        validate_lm,
-        filter,
-        report,
-        start,
-    } = job;
-    let path = path.as_str();
-
-    // A plain miss may be racing a speculative fetch of the same path:
-    // cancel it while still queued (the demand fetch wins outright), or
-    // join it once on the wire — park until the speculation lands and
-    // serve its entry, so the origin sees exactly one fetch either way.
-    if validate_lm.is_none() {
-        if let Some(p) = shared.prefetcher.get() {
-            if p.claim_or_join(shared, path) {
-                let now = shared.clock.now();
-                let cached = shared
-                    .table
-                    .read()
-                    .lookup(path)
-                    .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
-                if let Some((r, snap)) = cached {
-                    // The lookup flipped `used`; settle the speculation
-                    // even if the body vanishes before we can serve it.
-                    prefetch::note_speculative_hit(&shared.stats, &snap);
-                    if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
-                        shared.stats.cache_hits.fetch_add(1, Relaxed);
-                        shared.stats.fresh_hits.fetch_add(1, Relaxed);
-                        if shared.cfg.report_hits {
-                            shared.reporter.lock().record_hit(path);
-                        }
-                        shared.obs.fresh_hit.record(start.elapsed());
-                        return cached_response(&body, snap.last_modified, "HIT");
-                    }
-                }
-                // The speculation resolved without a servable entry
-                // (fetch failed, or already displaced): fetch normally.
-            }
-        }
-    }
-
-    // Phase 2: upstream exchange (no state locks held).
-    let resp = exchange_upstream(
-        shared,
-        path,
-        validate_lm,
-        &filter,
-        report.as_deref(),
-        scratch,
-    );
-    let (resp, mut pushed) = match resp {
-        Ok(r) => r,
-        Err(_) => {
-            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-            shared.obs.error.record(start.elapsed());
-            return Response::new(502);
-        }
-    };
-
-    // Phase 3: update cache state and answer the client.
-    let mut guard = shared.global.as_ref().map(|m| m.lock());
+    job: &UpstreamJob,
+    head: &Response,
+    trailers: &HeaderMap,
+    total: usize,
+    prefix: Vec<u8>,
+) {
     let now = shared.clock.now();
-    let delta = shared.cfg.freshness;
-    // A refetch response whose piggyback still needs processing, and the
-    // histogram matching the request's *final* outcome (a 304 that had to
-    // be refetched records as a full fetch, not a validation).
-    let mut refetch_resp = None;
-    let (result, hist) = match resp.status {
-        304 => {
-            // The table never forgets ids, so the validated path resolves;
-            // the body may have been evicted or invalidated mid-flight.
-            let r = shared.table.read().lookup(path);
-            let body = r.and_then(|r| {
-                shared.cache.freshen(r, now + delta);
-                shared.bodies.get(r)
-            });
-            match body {
-                Some(body) => {
-                    shared.stats.not_modified.fetch_add(1, Relaxed);
-                    let lm = validate_lm.unwrap_or(Timestamp::ZERO);
-                    (
-                        cached_response(&body, lm, "VALIDATED"),
-                        &shared.obs.not_modified,
-                    )
-                }
-                None => {
-                    // The 304 validated an entry whose body is gone
-                    // (evicted between planning and now): serving the
-                    // validation would hand the client an empty 200 with
-                    // an epoch Last-Modified. Refetch in full instead —
-                    // unconditional, no If-Modified-Since — releasing the
-                    // Legacy serializer across the network round trip.
-                    drop(guard.take());
-                    let refetch = exchange_upstream(shared, path, None, &filter, None, scratch);
-                    guard = shared.global.as_ref().map(|m| m.lock());
-                    match refetch {
-                        Ok((r2, more)) if r2.status == 200 => {
-                            pushed.extend(more);
-                            let now = shared.clock.now();
-                            let out = store_full_response(shared, path, &r2, now);
-                            refetch_resp = Some(r2);
-                            (out, &shared.obs.full_fetch)
-                        }
-                        Ok((r2, more)) => {
-                            pushed.extend(more);
-                            shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-                            let mut out = Response::new(r2.status);
-                            out.body = r2.body.clone();
-                            refetch_resp = Some(r2);
-                            (out, &shared.obs.passthrough)
-                        }
-                        Err(_) => {
-                            shared.stats.upstream_errors.fetch_add(1, Relaxed);
-                            (Response::new(502), &shared.obs.error)
-                        }
-                    }
-                }
-            }
+    shared.stats.full_fetches.fetch_add(1, Relaxed);
+    shared.stats.streamed_misses.fetch_add(1, Relaxed);
+    shared
+        .stats
+        .bytes_from_origin
+        .fetch_add(total as u64, Relaxed);
+    let lm = last_modified(head, now);
+    let r = shared
+        .table
+        .write()
+        .register_path(&job.path, total as u64, lm);
+    if !prefix.is_empty() && prefix.len() < total {
+        shared.bodies.insert(r, Body::prefix(prefix, total));
+    }
+    process_piggyback(shared, p_volume(head, trailers), job.source, now);
+    shared.obs.full_fetch.record(job.start.elapsed());
+}
+
+/// How a prefix hit's suffix relay ended.
+enum SuffixEnd {
+    /// Every suffix byte arrived from the origin.
+    Complete,
+    /// The origin's head contradicted the recorded total (new length or
+    /// status): the head already sent is stale.
+    Mismatch,
+    /// The exchange failed; nothing contradicted the prefix.
+    Failed,
+}
+
+/// Settle a prefix hit. Range-free refetch: the origin resends the whole
+/// object (bandwidth unchanged; TTFB is what the prefix buys). A
+/// mismatch drops the poisoned prefix so the next request misses and
+/// re-primes. Failures are truncations (`Err`): the head already went out.
+fn settle_prefix_hit(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    r: ResourceId,
+    total: usize,
+    end: SuffixEnd,
+) -> io::Result<()> {
+    match end {
+        SuffixEnd::Complete => {
+            shared.stats.cache_hits.fetch_add(1, Relaxed);
+            shared.stats.prefix_hits.fetch_add(1, Relaxed);
+            shared
+                .stats
+                .bytes_from_origin
+                .fetch_add(total as u64, Relaxed);
+            shared.obs.prefix_hit.record(job.start.elapsed());
+            Ok(())
         }
-        200 => (
-            store_full_response(shared, path, &resp, now),
-            &shared.obs.full_fetch,
-        ),
-        _ => {
-            // Pass through errors untouched (and uncached).
-            shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
-            let mut out = Response::new(resp.status);
-            out.body = resp.body.clone();
-            (out, &shared.obs.passthrough)
+        SuffixEnd::Mismatch => {
+            shared.bodies.remove(r);
+            relay_abort(shared, job, "prefix no longer matches the origin object")
         }
+        SuffixEnd::Failed => relay_abort(shared, job, "suffix relay failed"),
+    }
+}
+
+/// Serve the entry a just-landed speculation installed; `false` when the
+/// speculation resolved without a serveable entry (fetch failed, or
+/// already displaced) and the demand fetch should proceed.
+fn serve_speculation<W: Write>(
+    shared: &ProxyShared,
+    job: &UpstreamJob,
+    w: &mut W,
+    scratch: &mut ConnScratch,
+) -> io::Result<bool> {
+    let now = shared.clock.now();
+    let cached = shared
+        .table
+        .read()
+        .lookup(&job.path)
+        .and_then(|r| shared.cache.lookup(r, now).map(|snap| (r, snap)));
+    let Some((r, snap)) = cached else {
+        return Ok(false);
     };
+    // The lookup flipped `used`; settle the speculation even if the body
+    // vanishes before we can serve it.
+    prefetch::note_speculative_hit(&shared.stats, &snap);
+    let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) else {
+        return Ok(false);
+    };
+    count_fresh_hit(shared, &job.path, job.start);
+    write_hit(w, scratch, &body, snap.last_modified)?;
+    Ok(true)
+}
 
-    // Server-pushed volume members enter the cache before piggyback
-    // classification, so the piggyback below sees them as cached entries
-    // (Freshen) instead of re-queueing them as prefetch candidates.
-    for p in &pushed {
-        prefetch::accept_push(shared, p, now);
-    }
+/// The client head of a streamed miss: the same headers as a buffered
+/// MISS (`Last-Modified` + `X-Cache: MISS`) under the relay's framing.
+fn write_stream_head(
+    shared: &ProxyShared,
+    resp: &Response,
+    framing: StreamFraming,
+    out: &mut Vec<u8>,
+) {
+    let lm = last_modified(resp, shared.clock.now());
+    let mut head = Response::new(200);
+    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+    head.headers.insert("Last-Modified", &format_rfc1123(unix));
+    head.headers.insert("X-Cache", "MISS");
+    encode_stream_head(&head, framing, out);
+}
 
-    // Piggyback processing (trailer on 200, header on 304) — for the
-    // original exchange and, when the evicted-body fallback refetched,
-    // for the refetch response too.
-    process_piggyback(shared, &resp, source, now);
-    if let Some(r2) = &refetch_resp {
-        process_piggyback(shared, r2, source, now);
-    }
-    drop(guard);
-    hist.record(start.elapsed());
-    result
+/// The client head of a prefix hit; the cached head bytes follow it.
+fn write_prefix_head(out: &mut Vec<u8>, total: usize) -> io::Result<()> {
+    write!(
+        out,
+        "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
+    )
+}
+
+/// Terminal failure after relay bytes reached the client: count the one
+/// terminal outcome and hand the caller an `Err` so the (now truncated)
+/// client connection closes. The origin connection is dropped by the
+/// caller simply by not checking it in.
+fn relay_abort<T>(shared: &ProxyShared, job: &UpstreamJob, why: &'static str) -> io::Result<T> {
+    count_relay_error(shared, job);
+    Err(io::Error::new(io::ErrorKind::UnexpectedEof, why))
+}
+
+/// The single terminal outcome for a mid-relay failure on *either* side.
+/// `requests` was counted at plan time, so every streaming client write
+/// before settlement routes its error through here exactly once —
+/// conservation (`requests == Σ outcomes`) holds even when the client
+/// dies mid-body.
+fn count_relay_error(shared: &ProxyShared, job: &UpstreamJob) {
+    shared.stats.upstream_errors.fetch_add(1, Relaxed);
+    shared.obs.error.record(job.start.elapsed());
+}
+
+/// `map_err` adapter for client-side writes inside a relay: count the
+/// terminal outcome, pass the error through (the caller's `?` drops the
+/// connection).
+fn client_relay_err(shared: &ProxyShared, job: &UpstreamJob, e: io::Error) -> io::Error {
+    count_relay_error(shared, job);
+    e
+}
+
+/// A response's `Last-Modified` as a trace timestamp (`now` when absent).
+pub(crate) fn last_modified(resp: &Response, now: Timestamp) -> Timestamp {
+    resp.headers
+        .get("Last-Modified")
+        .and_then(parse_rfc1123)
+        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
+        .unwrap_or(now)
+}
+
+/// The `P-volume` piggyback a response carries: in `trailers` after a
+/// chunked body, else in the head (a 304 has no body to trail).
+fn p_volume<'a>(head: &'a Response, trailers: &'a HeaderMap) -> Option<&'a str> {
+    trailers
+        .get(P_VOLUME_HEADER)
+        .or_else(|| head.headers.get(P_VOLUME_HEADER))
 }
 
 /// Store a 200 upstream response: register the path, retain the body
@@ -1822,12 +1558,7 @@ fn store_full_response(
         .stats
         .bytes_from_origin
         .fetch_add(resp.body.len() as u64, Relaxed);
-    let lm = resp
-        .headers
-        .get("Last-Modified")
-        .and_then(parse_rfc1123)
-        .map(|u| timestamp_from_unix(u, DEFAULT_TRACE_EPOCH_UNIX))
-        .unwrap_or(now);
+    let lm = last_modified(resp, now);
     let size = resp.body.len() as u64;
     let r = shared.table.write().register_path(path, size, lm);
     // Retain the fetched bytes once; every hit from here on is a
@@ -1872,16 +1603,12 @@ fn store_full_response(
     cached_response(&body, lm, "MISS")
 }
 
-/// Apply one response's `P-volume` piggyback (trailer on 200, header on
-/// 304) to the cache, and feed the prefetcher: `PrefetchCandidate`
-/// elements are queued for speculative fetch, and invalidated entries are
-/// re-queued so coherency misses turn into refreshed cache entries.
-fn process_piggyback(shared: &ProxyShared, resp: &Response, source: SocketAddr, now: Timestamp) {
+/// Apply one response's `P-volume` piggyback (see [`p_volume`]) to the
+/// cache, and feed the prefetcher: `PrefetchCandidate` elements are
+/// queued for speculative fetch, and invalidated entries are re-queued so
+/// coherency misses turn into refreshed cache entries.
+fn process_piggyback(shared: &ProxyShared, pv: Option<&str>, source: SocketAddr, now: Timestamp) {
     let delta = shared.cfg.freshness;
-    let pv = resp
-        .trailers
-        .get(P_VOLUME_HEADER)
-        .or_else(|| resp.headers.get(P_VOLUME_HEADER));
     let Some(pv) = pv else {
         return;
     };
@@ -2048,25 +1775,23 @@ fn metrics_response(shared: &ProxyShared) -> Response {
         &shared.obs.piggyback_bytes.snapshot(),
         1.0,
     );
-    if let Some(pool) = &shared.pool {
-        let p = pool.stats();
-        for (name, value) in [
-            ("pb_proxy_pool_connects_total", p.connects),
-            ("pb_proxy_pool_reuses_total", p.reuses),
-            ("pb_proxy_pool_evicted_unhealthy_total", p.evicted_unhealthy),
-            ("pb_proxy_pool_discarded_dirty_total", p.discarded_dirty),
-            ("pb_proxy_pool_discarded_full_total", p.discarded_full),
-        ] {
-            render_scalar(&mut out, name, "", "counter", value);
-        }
-        render_scalar(
-            &mut out,
-            "pb_proxy_pool_idle",
-            "",
-            "gauge",
-            pool.idle_len() as u64,
-        );
+    let p = shared.pool.stats();
+    for (name, value) in [
+        ("pb_proxy_pool_connects_total", p.connects),
+        ("pb_proxy_pool_reuses_total", p.reuses),
+        ("pb_proxy_pool_evicted_unhealthy_total", p.evicted_unhealthy),
+        ("pb_proxy_pool_discarded_dirty_total", p.discarded_dirty),
+        ("pb_proxy_pool_discarded_full_total", p.discarded_full),
+    ] {
+        render_scalar(&mut out, name, "", "counter", value);
     }
+    render_scalar(
+        &mut out,
+        "pb_proxy_pool_idle",
+        "",
+        "gauge",
+        shared.pool.idle_len() as u64,
+    );
     // Capacity from config, not `cache.capacity()`: the latter sums
     // per-shard fields under each shard lock.
     render_scalar(
@@ -2224,94 +1949,6 @@ fn metrics_response(shared: &ProxyShared) -> Response {
     resp
 }
 
-/// One upstream request/response exchange. Sharded mode checks a
-/// connection out of the pool and returns it only after the response —
-/// trailers and any server-pushed responses included — was read to
-/// completion. A mid-exchange failure (stale keep-alive race, or an
-/// origin that died under the first request) retries once on a fresh
-/// connection; Legacy mode opens a fresh connection per fetch but keeps
-/// the same retry-once contract.
-///
-/// With `accept_push` the request carries `Piggy-push: accept`, and the
-/// returned `Vec` holds the full pushed responses the origin streamed
-/// after the main one (announced by its `X-Push-Count` header).
-fn exchange_upstream(
-    shared: &ProxyShared,
-    path: &str,
-    validate_lm: Option<Timestamp>,
-    filter: &ProxyFilter,
-    report: Option<&str>,
-    scratch: &mut ConnScratch,
-) -> Result<(Response, Vec<Response>), piggyback_httpwire::HttpError> {
-    for attempt in 0..2 {
-        if attempt == 1 {
-            shared.stats.upstream_retries.fetch_add(1, Relaxed);
-        }
-        let mut conn = match &shared.pool {
-            Some(pool) if attempt == 0 => pool.checkout()?,
-            Some(pool) => pool.connect_fresh()?,
-            None => PooledConn::connect(shared.cfg.origin)?,
-        };
-        let mut req = Request::new("GET", path);
-        req.headers.insert("Host", "origin");
-        req.headers.insert("TE", "chunked");
-        req.headers
-            .insert(PIGGY_FILTER_HEADER, &filter.to_header_value());
-        if shared.cfg.accept_push {
-            req.headers.insert(PIGGY_PUSH_HEADER, "accept");
-        }
-        if let Some(r) = report {
-            req.headers.insert(PIGGY_REPORT_HEADER, r);
-        }
-        if let Some(lm) = validate_lm {
-            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-            req.headers
-                .insert("If-Modified-Since", &format_rfc1123(unix));
-        }
-        let io_result = req
-            .write_with(&mut conn.writer, scratch)
-            .map_err(piggyback_httpwire::HttpError::from)
-            .and_then(|()| Response::read(&mut conn.reader, false));
-        match io_result {
-            Ok(resp) => {
-                // Drain any pushed responses before the connection is
-                // reusable: they follow the main response on the same
-                // stream.
-                let announced = if shared.cfg.accept_push {
-                    resp.headers
-                        .get(PUSH_COUNT_HEADER)
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                let mut pushed = Vec::with_capacity(announced);
-                for _ in 0..announced {
-                    match Response::read(&mut conn.reader, false) {
-                        Ok(p) => pushed.push(p),
-                        Err(_) => {
-                            // Mid-push failure: keep what landed and drop
-                            // the connection (read position unknown) —
-                            // the main exchange already succeeded.
-                            return Ok((resp, pushed));
-                        }
-                    }
-                }
-                if let Some(pool) = &shared.pool {
-                    pool.checkin(conn);
-                }
-                return Ok((resp, pushed));
-            }
-            Err(_) if attempt == 0 => {
-                // Stale pooled connection or a flaky first exchange:
-                // drop it, retry once on a fresh connection.
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("retry loop always returns by the second attempt")
-}
-
 fn cached_response(body: &Body, lm: Timestamp, x_cache: &str) -> Response {
     let mut resp = Response::new(200);
     let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
@@ -2359,7 +1996,11 @@ pub fn piggyback_request_headers(filter: &ProxyFilter) -> HeaderMap {
 mod tests {
     use super::*;
     use crate::origin::{start_origin, OriginConfig, OriginHandle};
+    use std::io::BufWriter;
     use std::net::TcpListener;
+
+    /// Both client-side engines, for tests that must hold in either.
+    const ENGINES: [IoMode; 2] = [IoMode::Threaded, IoMode::Reactor { reactors: 1 }];
 
     /// Drive the whole site once directly (no proxy), so the origin's
     /// access state covers every resource. Piggybacks only name volume
@@ -2392,27 +2033,31 @@ mod tests {
 
     #[test]
     fn proxy_caches_and_validates() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let path = origin.paths[0].clone();
+        for io in ENGINES {
+            let origin = start_origin(OriginConfig::default()).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.status, 200);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.status, 200);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"), "{io:?}");
 
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.status, 200);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(r2.status, 200);
+            assert_eq!(r2.headers.get("X-Cache"), Some("HIT"), "{io:?}");
+            assert_eq!(r1.body, r2.body);
 
-        let stats = proxy.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.fresh_hits, 1);
-        assert_eq!(stats.full_fetches, 1);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            let stats = proxy.stats();
+            assert_eq!(stats.requests, 2);
+            assert_eq!(stats.fresh_hits, 1);
+            assert_eq!(stats.full_fetches, 1);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
 
-        proxy.stop();
-        origin.stop();
+            proxy.stop();
+            origin.stop();
+        }
     }
 
     #[test]
@@ -2438,41 +2083,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_wire_mode_serves_identically() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.wire = WireMode::Buffered;
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
-        let stats = proxy.stats();
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
-        origin.stop();
-    }
-
-    #[test]
-    fn legacy_mode_still_works() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.mode = ConcurrencyMode::Legacy;
-        let proxy = start_proxy(cfg).unwrap();
-        assert!(proxy.pool_stats().is_none(), "legacy mode has no pool");
-        let path = origin.paths[0].clone();
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.headers.get("X-Cache"), Some("HIT"));
-        assert_eq!(r1.body, r2.body);
-        proxy.stop();
-        origin.stop();
-    }
-
-    #[test]
     fn sharded_proxy_pools_origin_connections() {
         let origin = start_origin(OriginConfig::default()).unwrap();
         let mut cfg = ProxyConfig::new(origin.addr());
@@ -2483,7 +2093,7 @@ mod tests {
             get(proxy.addr(), &path);
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
-        let pool = proxy.pool_stats().expect("sharded mode has a pool");
+        let pool = proxy.pool_stats().expect("the proxy pools");
         assert!(
             pool.reuses >= 3,
             "validations must reuse the pooled origin connection: {pool:?}"
@@ -2513,70 +2123,80 @@ mod tests {
 
     #[test]
     fn proxy_passes_404_through_uncached() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let proxy = start_proxy(ProxyConfig::new(origin.addr())).unwrap();
-        let r = get(proxy.addr(), "/definitely/not/here.html");
-        assert_eq!(r.status, 404);
-        let r = get(proxy.addr(), "/definitely/not/here.html");
-        assert_eq!(r.status, 404);
-        let stats = proxy.stats();
-        assert_eq!(stats.fresh_hits, 0);
-        assert_eq!(stats.upstream_passthrough, 2);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
-        origin.stop();
+        for io in ENGINES {
+            let origin = start_origin(OriginConfig::default()).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let r = get(proxy.addr(), "/definitely/not/here.html");
+            assert_eq!(r.status, 404);
+            let r = get(proxy.addr(), "/definitely/not/here.html");
+            assert_eq!(r.status, 404);
+            let stats = proxy.stats();
+            assert_eq!(stats.fresh_hits, 0, "{io:?}");
+            assert_eq!(stats.upstream_passthrough, 2, "{io:?}");
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+            origin.stop();
+        }
     }
 
     #[test]
     fn expired_entries_validate_with_304_and_revive() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1); // everything expires at once
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in ENGINES {
+            let origin = start_origin(OriginConfig::default()).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.freshness = DurationMs::from_millis(1); // everything expires at once
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("VALIDATED"),
-            "expired entry must be revalidated, not refetched"
-        );
-        assert_eq!(r1.body, r2.body, "304 revives the cached body");
-        let stats = proxy.stats();
-        assert_eq!(stats.validations, 1);
-        assert_eq!(stats.not_modified, 1);
-        assert_eq!(stats.full_fetches, 1);
-        proxy.stop();
-        origin.stop();
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("VALIDATED"),
+                "expired entry must be revalidated, not refetched ({io:?})"
+            );
+            assert_eq!(r1.body, r2.body, "304 revives the cached body");
+            let stats = proxy.stats();
+            assert_eq!(stats.validations, 1);
+            assert_eq!(stats.not_modified, 1);
+            assert_eq!(stats.full_fetches, 1);
+            proxy.stop();
+            origin.stop();
+        }
     }
 
     #[test]
     fn modified_resource_refetched_on_validation() {
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1);
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in ENGINES {
+            let origin = start_origin(OriginConfig::default()).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.freshness = DurationMs::from_millis(1);
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        get(proxy.addr(), &path);
-        // Bump the origin's Last-Modified.
-        let r = get(proxy.addr(), &format!("/_pb/modify{path}"));
-        assert_eq!(r.status, 204);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("MISS"),
-            "modified resource comes back as a fresh 200"
-        );
-        let stats = proxy.stats();
-        assert_eq!(stats.not_modified, 0);
-        assert!(stats.full_fetches >= 2);
-        proxy.stop();
-        origin.stop();
+            get(proxy.addr(), &path);
+            // Bump the origin's Last-Modified.
+            let r = get(proxy.addr(), &format!("/_pb/modify{path}"));
+            assert_eq!(r.status, 204);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("MISS"),
+                "modified resource comes back as a fresh 200 ({io:?})"
+            );
+            let stats = proxy.stats();
+            assert_eq!(stats.not_modified, 0);
+            assert!(stats.full_fetches >= 2);
+            proxy.stop();
+            origin.stop();
+        }
     }
 
     #[test]
@@ -2691,43 +2311,46 @@ mod tests {
         // Regression: when a 304 lands but the cached body was evicted
         // between planning (which saw the entry) and completion, the old
         // code served an empty 200 with an epoch-zero Last-Modified.
-        let origin = start_origin(OriginConfig::default()).unwrap();
-        let mut cfg = ProxyConfig::new(origin.addr());
-        cfg.freshness = DurationMs::from_millis(1);
-        let proxy = start_proxy(cfg).unwrap();
-        let path = origin.paths[0].clone();
+        for io in ENGINES {
+            let origin = start_origin(OriginConfig::default()).unwrap();
+            let mut cfg = ProxyConfig::new(origin.addr());
+            cfg.freshness = DurationMs::from_millis(1);
+            cfg.io = io;
+            let proxy = start_proxy(cfg).unwrap();
+            let path = origin.paths[0].clone();
 
-        let r1 = get(proxy.addr(), &path);
-        assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
-        assert!(!r1.body.is_empty());
+            let r1 = get(proxy.addr(), &path);
+            assert_eq!(r1.headers.get("X-Cache"), Some("MISS"));
+            assert!(!r1.body.is_empty());
 
-        // Force the race deterministically: the table entry stays (so the
-        // next request validates) but the body is gone by the time the
-        // 304 arrives.
-        let r = proxy.shared.table.read().lookup(&path).unwrap();
-        proxy.shared.bodies.remove(r);
-        std::thread::sleep(std::time::Duration::from_millis(5));
+            // Force the race deterministically: the table entry stays (so
+            // the next request validates) but the body is gone by the time
+            // the 304 arrives.
+            let r = proxy.shared.table.read().lookup(&path).unwrap();
+            proxy.shared.bodies.remove(r);
+            std::thread::sleep(std::time::Duration::from_millis(5));
 
-        let r2 = get(proxy.addr(), &path);
-        assert_eq!(r2.status, 200);
-        assert_eq!(
-            r2.headers.get("X-Cache"),
-            Some("MISS"),
-            "a body-less validation must refetch, not fabricate a hit"
-        );
-        assert_eq!(r2.body, r1.body, "refetched body, not an empty 200");
+            let r2 = get(proxy.addr(), &path);
+            assert_eq!(r2.status, 200);
+            assert_eq!(
+                r2.headers.get("X-Cache"),
+                Some("MISS"),
+                "a body-less validation must refetch, not fabricate a hit ({io:?})"
+            );
+            assert_eq!(r2.body, r1.body, "refetched body, not an empty 200");
 
-        let stats = proxy.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.validations, 1);
-        assert_eq!(
-            stats.not_modified, 0,
-            "a 304 we could not serve is not a validated hit"
-        );
-        assert_eq!(stats.full_fetches, 2);
-        assert_eq!(stats.outcomes(), stats.requests, "conservation");
-        proxy.stop();
-        origin.stop();
+            let stats = proxy.stats();
+            assert_eq!(stats.requests, 2);
+            assert_eq!(stats.validations, 1);
+            assert_eq!(
+                stats.not_modified, 0,
+                "a 304 we could not serve is not a validated hit"
+            );
+            assert_eq!(stats.full_fetches, 2);
+            assert_eq!(stats.outcomes(), stats.requests, "conservation");
+            proxy.stop();
+            origin.stop();
+        }
     }
 
     #[test]
@@ -2929,25 +2552,22 @@ mod tests {
     #[test]
     fn oversized_client_body_gets_413() {
         let origin = start_origin(OriginConfig::default()).unwrap();
-        for wire in [WireMode::ZeroCopy, WireMode::Buffered] {
-            let mut cfg = ProxyConfig::new(origin.addr());
-            cfg.client_body_cap = 1024;
-            cfg.wire = wire;
-            let proxy = start_proxy(cfg).unwrap();
-            let stream = TcpStream::connect(proxy.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            writer
-                .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
-                .unwrap();
-            // The proxy may reject before draining; ignore write errors.
-            let _ = writer.write_all(&[b'x'; 4096]);
-            let _ = writer.flush();
-            let resp = Response::read(&mut reader, false).unwrap();
-            assert_eq!(resp.status, 413, "wire mode {wire:?}");
-            assert_eq!(proxy.stats().requests, 0, "rejected before accounting");
-            proxy.stop();
-        }
+        let mut cfg = ProxyConfig::new(origin.addr());
+        cfg.client_body_cap = 1024;
+        let proxy = start_proxy(cfg).unwrap();
+        let stream = TcpStream::connect(proxy.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        writer
+            .write_all(b"GET /a.html HTTP/1.1\r\nHost: p\r\nContent-Length: 4096\r\n\r\n")
+            .unwrap();
+        // The proxy may reject before draining; ignore write errors.
+        let _ = writer.write_all(&[b'x'; 4096]);
+        let _ = writer.flush();
+        let resp = Response::read(&mut reader, false).unwrap();
+        assert_eq!(resp.status, 413);
+        assert_eq!(proxy.stats().requests, 0, "rejected before accounting");
+        proxy.stop();
         origin.stop();
     }
 }

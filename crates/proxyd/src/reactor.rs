@@ -34,9 +34,9 @@
 //! terminal failure) is in hand. Upstream connections are kept alive in a
 //! per-shard idle list, so a warm miss path does zero dials. A bounded
 //! offload pool survives ([`Served::Offload`]) for genuinely blocking work
-//! — multi-response drains (`--accept-push`), legacy fresh-connection
-//! mode, and joining an in-flight speculation — serializing the response
-//! into a buffer that is injected back to the reactor.
+//! — multi-response drains (`--accept-push`) and joining an in-flight
+//! speculation — serializing the response into a buffer that is injected
+//! back to the reactor.
 //!
 //! Cache hits, errors, and every client-side read/write stay on the
 //! reactor, so a slow client can stall only its own connection —
@@ -306,7 +306,7 @@ pub struct ReactorShardStats {
     /// Connections closed by the idle/read timer wheel.
     pub timeouts: AtomicU64,
     /// Requests handed to the offload pool (blocking work only: push
-    /// drains, legacy mode, speculative joins — a plain miss stays at 0).
+    /// drains and speculative joins — a plain miss stays at 0).
     pub offloads: AtomicU64,
     /// Fresh nonblocking TCP dials to the origin from this shard.
     pub upstream_dials: AtomicU64,
@@ -420,10 +420,10 @@ pub enum Served {
     /// The response was fully serialized into `out` on the reactor thread
     /// (cache hits, metrics, synthesized errors).
     Inline,
-    /// The request needs blocking work (push drains, legacy mode,
-    /// speculative joins). The closure runs on an offload worker,
-    /// serializes the response into the provided buffer, and the bytes
-    /// are injected back to the reactor.
+    /// The request needs blocking work (push drains, speculative joins).
+    /// The closure runs on an offload worker, serializes the response
+    /// into the provided buffer, and the bytes are injected back to the
+    /// reactor.
     Offload(OffloadFn),
     /// The request needs an origin exchange: the reactor parks the client
     /// connection, drives the nonblocking exchange itself, and calls the
@@ -444,10 +444,10 @@ pub struct UpstreamPlan {
     /// Continuation run on the reactor thread with the outcome. It must
     /// serialize the client-facing response into `out` (append-only) and
     /// may return [`UpstreamNext::Again`] to chain a follow-up exchange
-    /// (the threaded path's refetch-after-304 loop).
+    /// (the refetch after a 304 whose body was evicted).
     pub finish: FinishFn,
     /// Side-effect hook invoked exactly once if the exchange is retried on
-    /// a fresh connection (mirrors the threaded `upstream_retries` bump).
+    /// a fresh connection (the caller's retry counter).
     pub retry: RetryFn,
     /// Opt-in large-object cut-through: when set, the exchange relays
     /// payload bytes straight into the parked client's output buffer as
@@ -476,14 +476,15 @@ pub struct StreamSpec {
     /// [`UpstreamOutcome::StreamFailed`] mismatch, because the head bytes
     /// already sent to the client promised this length.
     pub expect_total: Option<usize>,
-    /// Serialize the client-facing response head into `out` the moment
-    /// the relay engages (runs on the reactor thread with the parked
-    /// client's scratch and output buffer).
+    /// Serialize the client-facing response head into the parked
+    /// client's output buffer the moment the relay engages (runs on the
+    /// reactor thread).
     pub head: HeadFn,
 }
 
-pub type HeadFn =
-    Box<dyn FnOnce(&Response, &mut ConnScratch, &mut Vec<u8>) -> io::Result<()> + Send>;
+/// Called with the origin's response head, the declared length, and the
+/// parked client's output buffer.
+pub type HeadFn = Box<dyn FnOnce(&Response, usize, &mut Vec<u8>) + Send>;
 
 /// How a nonblocking upstream exchange ended.
 pub enum UpstreamOutcome {
@@ -1868,8 +1869,8 @@ impl<S: ReactorService> Reactor<S> {
             .fetch_add(1, Ordering::Relaxed);
         match dial_nonblocking(ex.plan.origin) {
             Err(_) => {
-                // Mirrors the threaded path: a connect error propagates
-                // immediately (no retry), on either attempt.
+                // A connect error is terminal (no retry) on either
+                // attempt, the same contract as the pooled dial.
                 self.inject.push(Inbound::Failed(ex));
             }
             Ok((stream, connected)) => {
@@ -2068,12 +2069,7 @@ impl<S: ReactorService> Reactor<S> {
                                                 break 'read;
                                             };
                                             let spec = ex.plan.stream.take().expect("checked");
-                                            if (spec.head)(&head, &mut conn.scratch, &mut conn.out)
-                                                .is_err()
-                                            {
-                                                verdict = Out::ClientGone;
-                                                break 'read;
-                                            }
+                                            (spec.head)(&head, total, &mut conn.out);
                                             conn.relay_up = Some(utoken);
                                             up.rbuf.drain(..consumed);
                                             stats.relays.fetch_add(1, Ordering::Relaxed);

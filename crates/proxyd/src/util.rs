@@ -350,11 +350,16 @@ where
         .name(format!("{name}-accept"))
         .spawn(move || {
             let mut backoff = BACKOFF_MIN;
-            for conn in listener.incoming() {
+            loop {
+                // Block in poll(2), not accept(2): Linux `accept4`
+                // reserves the new descriptor before it sleeps, so an
+                // accept already parked when the fd table fills would
+                // still succeed and never see EMFILE.
+                wait_readable(&listener);
                 if stop2.load(Ordering::SeqCst) {
                     break;
                 }
-                match conn {
+                match listener.accept().map(|(stream, _)| stream) {
                     Ok(stream) => {
                         backoff = BACKOFF_MIN;
                         stats2.accepts.fetch_add(1, Ordering::Relaxed);
@@ -388,7 +393,7 @@ where
 }
 
 #[cfg(target_os = "linux")]
-mod rlimit_sys {
+mod libc_sys {
     #[repr(C)]
     pub struct RLimit {
         pub cur: u64,
@@ -397,18 +402,53 @@ mod rlimit_sys {
 
     pub const RLIMIT_NOFILE: i32 = 7;
 
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    pub const POLLIN: i16 = 0x1;
+
     extern "C" {
         pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
+}
+
+/// Block until `listener` has a connection to accept (or reports an
+/// error, which the following `accept` surfaces). Off Linux this returns
+/// at once and `accept` itself blocks.
+fn wait_readable(listener: &TcpListener) {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        let mut pfd = libc_sys::PollFd {
+            fd: listener.as_raw_fd(),
+            events: libc_sys::POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `pfd` is one valid, exclusively borrowed `struct
+        // pollfd` (nfds = 1), and its fd stays open for the call because
+        // `listener` is borrowed.
+        while unsafe { libc_sys::poll(&mut pfd, 1, -1) } < 0 {
+            if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+                break;
+            }
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = listener;
 }
 
 /// Current `(soft, hard)` RLIMIT_NOFILE. `Unsupported` off Linux.
 pub fn nofile_limits() -> io::Result<(u64, u64)> {
     #[cfg(target_os = "linux")]
     {
-        let mut rl = rlimit_sys::RLimit { cur: 0, max: 0 };
-        if unsafe { rlimit_sys::getrlimit(rlimit_sys::RLIMIT_NOFILE, &mut rl) } != 0 {
+        let mut rl = libc_sys::RLimit { cur: 0, max: 0 };
+        if unsafe { libc_sys::getrlimit(libc_sys::RLIMIT_NOFILE, &mut rl) } != 0 {
             return Err(io::Error::last_os_error());
         }
         Ok((rl.cur, rl.max))
@@ -427,11 +467,11 @@ pub fn set_nofile_soft(soft: u64) -> io::Result<()> {
     #[cfg(target_os = "linux")]
     {
         let (_, hard) = nofile_limits()?;
-        let rl = rlimit_sys::RLimit {
+        let rl = libc_sys::RLimit {
             cur: soft.min(hard),
             max: hard,
         };
-        if unsafe { rlimit_sys::setrlimit(rlimit_sys::RLIMIT_NOFILE, &rl) } != 0 {
+        if unsafe { libc_sys::setrlimit(libc_sys::RLIMIT_NOFILE, &rl) } != 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(())
@@ -461,11 +501,11 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
             }
             #[cfg(target_os = "linux")]
             if hard < want {
-                let rl = rlimit_sys::RLimit {
+                let rl = libc_sys::RLimit {
                     cur: want,
                     max: want,
                 };
-                if unsafe { rlimit_sys::setrlimit(rlimit_sys::RLIMIT_NOFILE, &rl) } == 0 {
+                if unsafe { libc_sys::setrlimit(libc_sys::RLIMIT_NOFILE, &rl) } == 0 {
                     return want;
                 }
             }

@@ -15,7 +15,7 @@
 //! set shows up here as a nonzero count.
 
 use piggyback_proxyd::origin::{start_origin, OriginConfig};
-use piggyback_proxyd::proxy::{start_proxy, ProxyConfig, WireMode};
+use piggyback_proxyd::proxy::{start_proxy, ProxyConfig};
 use piggyback_proxyd::IoMode;
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,7 +143,6 @@ fn reactor_miss_path_allocations_stay_bounded() {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.wire = WireMode::ZeroCopy;
     cfg.io = IoMode::Reactor { reactors: 2 };
     // Always stale: every measured request is an upstream validation.
     cfg.freshness = piggyback_core::types::DurationMs::from_millis(0);
@@ -258,7 +257,6 @@ fn streaming_prefix_relay_allocations_are_constant_per_segment() {
     });
 
     let mut cfg = ProxyConfig::new(origin_addr);
-    cfg.wire = WireMode::ZeroCopy;
     cfg.freshness = piggyback_core::types::DurationMs::from_secs(3600);
     cfg.rpv = None;
     cfg.report_hits = false;
@@ -311,7 +309,6 @@ fn steady_state_is_allocation_free(io: IoMode) {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.wire = WireMode::ZeroCopy;
     cfg.io = io;
     // Far longer than the test: every measured request is a fresh hit.
     cfg.freshness = piggyback_core::types::DurationMs::from_secs(3600);

@@ -302,7 +302,7 @@ fn pool_evicts_dead_connections_under_parallel_load() {
         "dead pooled connections must be evicted or retried, never surfaced: {statuses:?}"
     );
     conserved(&proxy, 40);
-    let pool = proxy.pool_stats().expect("sharded mode pools");
+    let pool = proxy.pool_stats().expect("the proxy pools");
     let s = proxy.stats();
     // Every checked-in connection dies; each is caught either at checkout
     // (peek sees FIN => evicted) or mid-exchange (retry on a fresh one).
@@ -324,7 +324,7 @@ fn pool_sheds_poisoned_connections_under_parallel_load() {
         "poisoned framing must never corrupt a response: {statuses:?}"
     );
     conserved(&proxy, 40);
-    let pool = proxy.pool_stats().expect("sharded mode pools");
+    let pool = proxy.pool_stats().expect("the proxy pools");
     let s = proxy.stats();
     // Trailing garbage is caught as a dirty checkin (still buffered), an
     // unhealthy checkout (unsolicited bytes on the wire), or a failed
