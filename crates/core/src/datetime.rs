@@ -115,8 +115,55 @@ fn month_from_name(s: &str) -> Option<u32> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rfc1123(pub i64);
 
+/// Byte length of an RFC 1123 HTTP-date with a four-digit year.
+pub const RFC1123_LEN: usize = 29;
+
+impl Rfc1123 {
+    /// The date as its fixed 29 bytes, written digit by digit without
+    /// `core::fmt`; `None` for a year outside 0..=9999, which has no
+    /// fixed-width form ([`Display`](std::fmt::Display) still renders it).
+    pub fn to_bytes(self) -> Option<[u8; RFC1123_LEN]> {
+        let c = civil_from_unix(self.0);
+        let year = u32::try_from(c.year).ok().filter(|y| *y <= 9999)?;
+        let mut b = *b"Www, DD Mmm YYYY HH:MM:SS GMT";
+        b[..3].copy_from_slice(DAY_NAMES[weekday_from_unix(self.0) as usize].as_bytes());
+        let two = |b: &mut [u8; RFC1123_LEN], at: usize, v: u32| {
+            b[at] = b'0' + (v / 10) as u8;
+            b[at + 1] = b'0' + (v % 10) as u8;
+        };
+        two(&mut b, 5, c.day);
+        b[8..11].copy_from_slice(MONTH_NAMES[(c.month - 1) as usize].as_bytes());
+        two(&mut b, 12, year / 100);
+        two(&mut b, 14, year % 100);
+        two(&mut b, 17, c.hour);
+        two(&mut b, 20, c.minute);
+        two(&mut b, 23, c.second);
+        Some(b)
+    }
+
+    /// Run `f` on the date as a `&str`, from a stack buffer when the date
+    /// has its fixed-width form.
+    pub fn with_str<R>(self, f: impl FnOnce(&str) -> R) -> R {
+        match self.to_bytes() {
+            Some(b) => f(std::str::from_utf8(&b).expect("ASCII date")),
+            None => f(&self.to_string()),
+        }
+    }
+
+    /// Append the date to `out` (the fixed-width form when there is one).
+    pub fn write_to(self, out: &mut Vec<u8>) {
+        match self.to_bytes() {
+            Some(b) => out.extend_from_slice(&b),
+            None => out.extend_from_slice(self.to_string().as_bytes()),
+        }
+    }
+}
+
 impl std::fmt::Display for Rfc1123 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(b) = self.to_bytes() {
+            return f.write_str(std::str::from_utf8(&b).expect("ASCII date"));
+        }
         let c = civil_from_unix(self.0);
         write!(
             f,
@@ -291,6 +338,36 @@ mod tests {
     #[test]
     fn rfc1123_format_matches_spec_example() {
         assert_eq!(format_rfc1123(784_111_777), "Sun, 06 Nov 1994 08:49:37 GMT");
+    }
+
+    #[test]
+    fn rfc1123_fixed_writer_matches_fmt() {
+        let reference = |unix: i64| {
+            let c = civil_from_unix(unix);
+            format!(
+                "{}, {:02} {} {:04} {:02}:{:02}:{:02} GMT",
+                DAY_NAMES[weekday_from_unix(unix) as usize],
+                c.day,
+                MONTH_NAMES[(c.month - 1) as usize],
+                c.year,
+                c.hour,
+                c.minute,
+                c.second
+            )
+        };
+        let mut unix = -62_167_219_200; // 0000-01-01
+        while unix < 253_402_300_800 {
+            let mut out = Vec::new();
+            Rfc1123(unix).write_to(&mut out);
+            assert_eq!(String::from_utf8(out).unwrap(), reference(unix), "{unix}");
+            unix += 86_400 * 37 + 3_671;
+        }
+        // Year 10000 has no fixed-width form; the fmt fallback renders it.
+        assert_eq!(Rfc1123(253_402_300_800).to_bytes(), None);
+        assert_eq!(
+            Rfc1123(253_402_300_800).to_string(),
+            reference(253_402_300_800)
+        );
     }
 
     #[test]

@@ -32,54 +32,106 @@ pub const MAX_REPORT_ENTRIES: usize = 64;
 /// `Piggy-report` header on the next upstream request to that server.
 #[derive(Debug, Default, Clone)]
 pub struct HitReporter {
+    /// Hits per path since the last drain. A drained path keeps its entry
+    /// at zero, so its next hit reuses the owned key instead of
+    /// allocating it again.
     counts: HashMap<String, u64>,
+    /// Paths with a nonzero count.
+    pending: usize,
+    /// The last drained clause when a drain was capped (reused buffer).
+    cutoff: String,
 }
+
+/// Zeroed entries kept for reuse before a new path purges them.
+const RETAINED_PATHS: usize = 4096;
 
 impl HitReporter {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record a cache hit served for `path`. Repeat hits on a pending
-    /// path (the steady state between drains) only bump the counter — the
-    /// path is owned once, on first sight.
+    /// Record a cache hit served for `path`. Repeat hits on a known path
+    /// (the steady state) only bump the counter — the path is owned once,
+    /// on first sight.
     pub fn record_hit(&mut self, path: &str) {
         if let Some(count) = self.counts.get_mut(path) {
+            if *count == 0 {
+                self.pending += 1;
+            }
             *count += 1;
-        } else {
-            self.counts.insert(path.to_owned(), 1);
+            return;
         }
+        if self.counts.len() >= RETAINED_PATHS {
+            self.counts.retain(|_, c| *c > 0);
+        }
+        self.counts.insert(path.to_owned(), 1);
+        self.pending += 1;
     }
 
     /// Number of distinct paths pending.
     pub fn pending(&self) -> usize {
-        self.counts.len()
+        self.pending
     }
 
     /// Drain up to [`MAX_REPORT_ENTRIES`] of the highest-count entries into
     /// a header value; `None` when nothing is pending. Remaining entries
     /// stay queued for the next request.
     pub fn drain_header(&mut self) -> Option<String> {
-        if self.counts.is_empty() {
-            return None;
+        let mut out = Vec::new();
+        self.drain_into(&mut out)
+            .then(|| String::from_utf8(out).expect("paths are UTF-8"))
+    }
+
+    /// [`drain_header`](Self::drain_header) appended to `out` (a request
+    /// being serialized) with no allocation beyond `out`'s own growth;
+    /// `false`, with nothing appended, when nothing is pending. Entries
+    /// go highest count first, ties by path.
+    pub fn drain_into(&mut self, out: &mut Vec<u8>) -> bool {
+        if self.pending == 0 {
+            return false;
         }
-        let mut entries: Vec<(String, u64)> = self.counts.drain().collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let rest = entries.split_off(entries.len().min(MAX_REPORT_ENTRIES));
-        for (p, c) in rest {
-            self.counts.insert(p, c);
-        }
-        let mut out = String::new();
-        for (i, (path, count)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        // The best MAX_REPORT_ENTRIES pending entries, kept sorted.
+        let mut top = [(0u64, ""); MAX_REPORT_ENTRIES];
+        let mut n = 0;
+        for (path, &count) in &self.counts {
+            if count == 0 {
+                continue;
             }
-            out.push('"');
-            out.push_str(path);
-            out.push_str("\" ");
-            out.push_str(&count.to_string());
+            let better = |e: &(u64, &str)| e.0 > count || (e.0 == count && e.1 < path.as_str());
+            let at = top[..n].partition_point(better);
+            if at == MAX_REPORT_ENTRIES {
+                continue;
+            }
+            let end = (n + 1).min(MAX_REPORT_ENTRIES);
+            top.copy_within(at..end - 1, at + 1);
+            top[at] = (count, path.as_str());
+            n = end;
         }
-        Some(out)
+        for (i, (count, path)) in top[..n].iter().enumerate() {
+            if i > 0 {
+                out.extend_from_slice(b", ");
+            }
+            out.push(b'"');
+            out.extend_from_slice(path.as_bytes());
+            out.extend_from_slice(b"\" ");
+            out.extend_from_slice(crate::wire::decimal(*count, &mut [0; 20]).as_bytes());
+        }
+        let capped = n < self.pending;
+        let cut_count = top[n - 1].0;
+        if capped {
+            self.cutoff.clear();
+            self.cutoff.push_str(top[n - 1].1);
+        }
+        let cutoff = &self.cutoff;
+        for (path, count) in self.counts.iter_mut() {
+            let drained = *count > 0
+                && (!capped || *count > cut_count || (*count == cut_count && path <= cutoff));
+            if drained {
+                *count = 0;
+            }
+        }
+        self.pending -= n;
+        true
     }
 }
 
@@ -105,28 +157,45 @@ impl std::error::Error for ReportParseError {}
 /// Parse a `Piggy-report` header value.
 pub fn parse_report(value: &str) -> Result<Vec<ReportEntry>, ReportParseError> {
     let mut entries = Vec::new();
-    let value = value.trim();
-    if value.is_empty() {
-        return Ok(entries);
-    }
-    for clause in value.split(',') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        let bad = || ReportParseError(clause.to_owned());
-        if !clause.starts_with('"') {
-            return Err(bad());
-        }
-        let close = clause[1..].find('"').ok_or_else(bad)? + 1;
-        let path = clause[1..close].to_owned();
-        let hits: u64 = clause[close + 1..].trim().parse().map_err(|_| bad())?;
-        if entries.len() >= MAX_REPORT_ENTRIES {
-            return Err(ReportParseError("too many clauses".into()));
-        }
-        entries.push(ReportEntry { path, hits });
-    }
+    visit_report(value, |path, hits| {
+        entries.push(ReportEntry {
+            path: path.to_owned(),
+            hits,
+        })
+    })?;
     Ok(entries)
+}
+
+/// [`parse_report`] without allocating: the whole value is checked first,
+/// and only a valid one is handed to `visit`, clause by clause, as
+/// `(path, hits)` borrowed from `value`. A rejected value visits nothing.
+pub fn visit_report(value: &str, mut visit: impl FnMut(&str, u64)) -> Result<(), ReportParseError> {
+    fn clauses(value: &str) -> impl Iterator<Item = Result<(&str, u64), ReportParseError>> {
+        value
+            .split(',')
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+            .enumerate()
+            .map(|(i, clause)| {
+                let bad = || ReportParseError(clause.to_owned());
+                if i >= MAX_REPORT_ENTRIES {
+                    return Err(ReportParseError("too many clauses".into()));
+                }
+                if !clause.starts_with('"') {
+                    return Err(bad());
+                }
+                let close = clause[1..].find('"').ok_or_else(bad)? + 1;
+                let hits: u64 = clause[close + 1..].trim().parse().map_err(|_| bad())?;
+                Ok((&clause[1..close], hits))
+            })
+    }
+    for clause in clauses(value) {
+        clause?;
+    }
+    for (path, hits) in clauses(value).flatten() {
+        visit(path, hits);
+    }
+    Ok(())
 }
 
 /// Server-side absorption: fold reported hits into access counts and
@@ -176,6 +245,24 @@ mod tests {
     }
 
     #[test]
+    fn drained_paths_are_reused_and_ties_go_by_path() {
+        let mut rep = HitReporter::new();
+        for p in ["/b", "/a", "/c", "/a"] {
+            rep.record_hit(p);
+        }
+        let mut out = b"Piggy-report: ".to_vec();
+        assert!(rep.drain_into(&mut out));
+        assert_eq!(out, b"Piggy-report: \"/a\" 2, \"/b\" 1, \"/c\" 1");
+        assert_eq!(rep.pending(), 0);
+        let mut none = Vec::new();
+        assert!(!rep.drain_into(&mut none));
+        assert!(none.is_empty());
+        rep.record_hit("/c");
+        assert_eq!(rep.pending(), 1);
+        assert_eq!(rep.drain_header().as_deref(), Some("\"/c\" 1"));
+    }
+
+    #[test]
     fn reporter_respects_entry_cap() {
         let mut rep = HitReporter::new();
         for i in 0..(MAX_REPORT_ENTRIES + 10) {
@@ -185,6 +272,23 @@ mod tests {
         let parsed = parse_report(&header).unwrap();
         assert_eq!(parsed.len(), MAX_REPORT_ENTRIES);
         assert_eq!(rep.pending(), 10, "overflow stays queued");
+        // Ties go by path: the overflow is the ten greatest paths.
+        let mut all: Vec<String> = (0..(MAX_REPORT_ENTRIES + 10))
+            .map(|i| format!("/r{i}.html"))
+            .collect();
+        all.sort();
+        let sent: Vec<&str> = parsed.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(
+            sent,
+            all[..MAX_REPORT_ENTRIES]
+                .iter()
+                .map(String::as_str)
+                .collect::<Vec<_>>()
+        );
+        let rest = parse_report(&rep.drain_header().unwrap()).unwrap();
+        assert_eq!(rest.len(), 10);
+        assert_eq!(rest[0].path, all[MAX_REPORT_ENTRIES]);
+        assert_eq!(rep.pending(), 0);
     }
 
     #[test]

@@ -302,10 +302,30 @@ impl OriginSnapshot {
         filter: &ProxyFilter,
         access: &AccessState,
     ) -> Option<PiggybackMessage> {
+        let mut msg = PiggybackMessage::default();
+        self.piggyback_into(resource, filter, access, &mut msg, &mut Vec::new())
+            .then_some(msg)
+    }
+
+    /// [`piggyback`](Self::piggyback) into caller-owned buffers: `msg`
+    /// (overwritten; meaningful only when this returns `true`) and
+    /// `candidates` (ranking scratch), so a server answering many
+    /// requests builds every piggyback without heap allocation.
+    pub fn piggyback_into(
+        &self,
+        resource: ResourceId,
+        filter: &ProxyFilter,
+        access: &AccessState,
+        msg: &mut PiggybackMessage,
+        candidates: &mut Vec<(ResourceId, u64)>,
+    ) -> bool {
+        msg.elements.clear();
         match &self.volumes {
-            FrozenVolumes::Directory(d) => self.piggyback_directory(d, resource, filter, access),
+            FrozenVolumes::Directory(d) => {
+                self.piggyback_directory(d, resource, filter, access, msg, candidates)
+            }
             FrozenVolumes::Probability(p) => {
-                self.piggyback_probability(p, resource, filter, access)
+                self.piggyback_probability(p, resource, filter, access, msg)
             }
         }
     }
@@ -316,19 +336,23 @@ impl OriginSnapshot {
         resource: ResourceId,
         filter: &ProxyFilter,
         access: &AccessState,
-    ) -> Option<PiggybackMessage> {
-        let vol = dirs.volume_of(resource)?;
+        msg: &mut PiggybackMessage,
+        candidates: &mut Vec<(ResourceId, u64)>,
+    ) -> bool {
+        let Some(vol) = dirs.volume_of(resource) else {
+            return false;
+        };
         if !filter.allows_volume(vol) {
-            return None;
+            return false;
         }
         let cap = filter.cap();
         if cap == 0 {
-            return None;
+            return false;
         }
         // Accessed volume-mates passing the content filters, ranked most
         // recently accessed first (ties broken by ascending id), exactly
         // the move-to-front merge of DirectoryVolumes::piggyback.
-        let mut candidates: Vec<(ResourceId, u64)> = Vec::new();
+        candidates.clear();
         for &r in &dirs.members[vol.index()] {
             if r == resource {
                 continue;
@@ -346,24 +370,19 @@ impl OriginSnapshot {
             candidates.push((r, recency));
         }
         if candidates.is_empty() {
-            return None;
+            return false;
         }
-        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
         candidates.truncate(cap);
-        let elements = candidates
-            .into_iter()
-            .filter_map(|(r, _)| {
-                self.table.meta(r).map(|m| PiggybackElement {
-                    resource: r,
-                    size: m.size,
-                    last_modified: m.last_modified,
-                })
+        msg.volume = vol;
+        msg.elements.extend(candidates.iter().filter_map(|&(r, _)| {
+            self.table.meta(r).map(|m| PiggybackElement {
+                resource: r,
+                size: m.size,
+                last_modified: m.last_modified,
             })
-            .collect();
-        Some(PiggybackMessage {
-            volume: vol,
-            elements,
-        })
+        }));
+        true
     }
 
     fn piggyback_probability(
@@ -372,16 +391,16 @@ impl OriginSnapshot {
         resource: ResourceId,
         filter: &ProxyFilter,
         access: &AccessState,
-    ) -> Option<PiggybackMessage> {
+        msg: &mut PiggybackMessage,
+    ) -> bool {
         let vol = VolumeId(resource.0);
         if !filter.allows_volume(vol) {
-            return None;
+            return false;
         }
         let min_p = filter.prob_threshold.unwrap_or(0.0);
         let cap = filter.cap();
-        let mut elements = Vec::new();
         for &(s, p) in vols.volume(resource) {
-            if elements.len() >= cap {
+            if msg.elements.len() >= cap {
                 break;
             }
             if (p as f64) < min_p || s == resource {
@@ -393,19 +412,14 @@ impl OriginSnapshot {
             if !filter.admits(&meta) {
                 continue;
             }
-            elements.push(PiggybackElement {
+            msg.elements.push(PiggybackElement {
                 resource: s,
                 size: meta.size,
                 last_modified: meta.last_modified,
             });
         }
-        if elements.is_empty() {
-            return None;
-        }
-        Some(PiggybackMessage {
-            volume: vol,
-            elements,
-        })
+        msg.volume = vol;
+        !msg.elements.is_empty()
     }
 }
 

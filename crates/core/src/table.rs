@@ -2,14 +2,19 @@
 
 use crate::intern::PathInterner;
 use crate::types::{ContentType, ResourceId, ResourceMeta, Timestamp};
+use std::sync::Arc;
 
 /// Paths and metadata for every resource a server knows about.
 ///
 /// This is the state a real origin server already has (its file system and
 /// access counters); volume providers and piggyback generation read from it.
+///
+/// Cloning is cheap in the path set: clones share one interner until one
+/// of them registers a new path (copy on write), so a snapshot that only
+/// changes metadata copies just the metadata vector.
 #[derive(Debug, Default, Clone)]
 pub struct ResourceTable {
-    interner: PathInterner,
+    interner: Arc<PathInterner>,
     meta: Vec<ResourceMeta>,
 }
 
@@ -26,7 +31,10 @@ impl ResourceTable {
         last_modified: Timestamp,
         content_type: ContentType,
     ) -> ResourceId {
-        let id = self.interner.intern(path);
+        let id = match self.interner.get(path) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.interner).intern(path),
+        };
         if id.index() == self.meta.len() {
             self.meta
                 .push(ResourceMeta::new(size, last_modified, content_type));
@@ -99,6 +107,22 @@ impl ResourceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clones_share_paths_until_one_registers_a_new_one() {
+        let mut a = ResourceTable::new();
+        let x = a.register_path("/x", 1, Timestamp::ZERO);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.interner, &b.interner));
+        b.touch_modified(x, Timestamp::from_secs(9));
+        b.register_path("/x", 2, Timestamp::from_secs(9));
+        assert!(Arc::ptr_eq(&a.interner, &b.interner), "known path: no copy");
+        assert_eq!(a.meta(x).unwrap().last_modified, Timestamp::ZERO);
+        let y = b.register_path("/y", 3, Timestamp::ZERO);
+        assert!(!Arc::ptr_eq(&a.interner, &b.interner));
+        assert_eq!(a.lookup("/y"), None);
+        assert_eq!(b.lookup("/y"), Some(y));
+    }
 
     #[test]
     fn register_and_lookup() {

@@ -78,17 +78,41 @@ pub fn encode_p_volume_into(
     table: &ResourceTable,
     out: &mut String,
 ) -> Result<(), WireError> {
-    use std::fmt::Write;
-    write!(out, "{};", msg.volume.0).expect("string write is infallible");
+    push_decimal(out, u64::from(msg.volume.0));
+    out.push(';');
     for (i, e) in msg.elements.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let path = table.path(e.resource).ok_or(WireError::UnknownResource)?;
-        write!(out, " \"{path}\" {} {}", e.last_modified.as_secs(), e.size)
-            .expect("string write is infallible");
+        out.push_str(" \"");
+        out.push_str(path);
+        out.push_str("\" ");
+        push_decimal(out, e.last_modified.as_secs());
+        out.push(' ');
+        push_decimal(out, e.size);
     }
     Ok(())
+}
+
+/// Append `n` in decimal without going through `core::fmt`.
+pub(crate) fn push_decimal(out: &mut String, n: u64) {
+    let mut digits = [0u8; 20];
+    out.push_str(decimal(n, &mut digits));
+}
+
+/// `n` in decimal, written into the end of `buf`.
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
 }
 
 /// Decode a `P-volume` header value.

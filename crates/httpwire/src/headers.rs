@@ -110,6 +110,25 @@ impl HeaderMap {
         Ok(())
     }
 
+    /// [`insert`](Self::insert) (same validation and panic contract, no
+    /// trimming), but the owned strings come from the spare pool when one
+    /// is available, as in [`try_insert_recycled`](Self::try_insert_recycled):
+    /// a server rebuilding its responses in one recycled map inserts
+    /// without heap allocation.
+    pub fn insert_recycled(&mut self, name: &str, value: &str) {
+        assert!(valid_header_name(name), "invalid header name {name:?}");
+        assert!(
+            valid_header_value(value),
+            "invalid value for header {name:?}"
+        );
+        let (mut n, mut v) = self.spare.pop().unwrap_or_default();
+        n.clear();
+        n.push_str(name);
+        v.clear();
+        v.push_str(value);
+        self.entries.push((n, v));
+    }
+
     /// Clear the map, keeping the entry strings (and their capacity) for
     /// reuse by [`try_insert_recycled`](Self::try_insert_recycled).
     pub fn reset(&mut self) {

@@ -35,6 +35,7 @@ pub mod error;
 pub mod headers;
 pub mod message;
 pub mod parse;
+pub mod queue;
 pub mod scratch;
 pub mod stream;
 pub mod timing;
@@ -43,7 +44,8 @@ pub use body::Body;
 pub use chunked::{read_chunked, read_chunked_into, read_chunked_into_capped, write_chunked};
 pub use error::HttpError;
 pub use headers::{HeaderMap, InvalidHeader};
-pub use message::{reason_phrase, Request, Response, Version};
+pub use message::{push_decimal, push_header, reason_phrase, Request, Response, Version};
+pub use queue::{BodySink, OutQueue};
 pub use scratch::{flush_segments, write_all_parts, ConnScratch, Seg};
 pub use stream::{encode_stream_head, BodyReader, BodyWriter, StreamFraming, STREAM_CHUNK};
 pub use timing::TimedReader;

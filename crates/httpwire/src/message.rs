@@ -7,6 +7,7 @@ use crate::headers::HeaderMap;
 use crate::parse::{
     content_length, read_headers, read_headers_into, read_line, read_line_into, MAX_BODY,
 };
+use crate::queue::OutQueue;
 use crate::scratch::{flush_segments, ConnScratch, Seg};
 use std::io::{BufRead, Read, Write};
 
@@ -131,22 +132,27 @@ impl Request {
         let ConnScratch { out, segs, .. } = scratch;
         out.clear();
         segs.clear();
-        write!(
-            out,
-            "{} {} {}\r\n",
-            self.method,
-            self.target,
-            self.version.as_str()
-        )?;
+        for part in [
+            &self.method,
+            " ",
+            &self.target,
+            " ",
+            self.version.as_str(),
+            "\r\n",
+        ] {
+            out.extend_from_slice(part.as_bytes());
+        }
         let mut wrote_cl = false;
         for (name, value) in self.headers.iter() {
             if name.eq_ignore_ascii_case("Content-Length") {
                 wrote_cl = true;
             }
-            write!(out, "{name}: {value}\r\n")?;
+            push_header(out, name, value);
         }
         if !self.body.is_empty() && !wrote_cl {
-            write!(out, "Content-Length: {}\r\n", self.body.len())?;
+            out.extend_from_slice(b"Content-Length: ");
+            push_decimal(out, self.body.len() as u64);
+            out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
         segs.push(Seg::Out(0, out.len()));
@@ -253,6 +259,19 @@ impl Response {
         }
     }
 
+    /// A placeholder for [`read_into`](Self::read_into) loops; like
+    /// [`Request::empty`], it allocates nothing until first filled.
+    pub fn empty() -> Self {
+        Response {
+            version: Version::Http11,
+            status: 0,
+            reason: String::new(),
+            headers: HeaderMap::new(),
+            body: Body::empty(),
+            trailers: HeaderMap::new(),
+        }
+    }
+
     /// Whether this status code forbids a body.
     pub fn bodiless_status(status: u16) -> bool {
         matches!(status, 100..=199 | 204 | 304)
@@ -318,19 +337,39 @@ impl Response {
         w: &mut W,
         scratch: &mut ConnScratch,
     ) -> std::io::Result<()> {
+        self.encode(scratch);
+        flush_segments(w, &scratch.out, &self.body, &scratch.segs)?;
+        w.flush()
+    }
+
+    /// [`write_with`](Self::write_with) onto an output queue: the encoded
+    /// head and framing are copied in, and body bytes are queued as
+    /// slices of the shared [`Body`] — referenced, never copied.
+    pub fn queue_with(&self, q: &mut OutQueue, scratch: &mut ConnScratch) {
+        self.encode(scratch);
+        for seg in &scratch.segs {
+            match *seg {
+                Seg::Out(s, e) => q.extend_from_slice(&scratch.out[s..e]),
+                Seg::Body(s, e) => q.push_body(&self.body.slice(s..e)),
+            }
+        }
+    }
+
+    /// Encode the head, chunk framing and trailers into `scratch.out`, and
+    /// the wire layout (with body ranges) into `scratch.segs`.
+    fn encode(&self, scratch: &mut ConnScratch) {
         let ConnScratch { out, segs, .. } = scratch;
         out.clear();
         segs.clear();
         let chunked = (!self.trailers.is_empty()
             || self.headers.list_contains("Transfer-Encoding", "chunked"))
             && !Self::bodiless_status(self.status);
-        write!(
-            out,
-            "{} {} {}\r\n",
-            self.version.as_str(),
-            self.status,
-            self.reason
-        )?;
+        out.extend_from_slice(self.version.as_str().as_bytes());
+        out.push(b' ');
+        push_decimal(out, u64::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(self.reason.as_bytes());
+        out.extend_from_slice(b"\r\n");
         for (name, value) in self.headers.iter() {
             // We compute framing headers ourselves.
             if name.eq_ignore_ascii_case("Content-Length")
@@ -339,7 +378,7 @@ impl Response {
             {
                 continue;
             }
-            write!(out, "{name}: {value}\r\n")?;
+            push_header(out, name, value);
         }
         if chunked {
             out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
@@ -365,7 +404,8 @@ impl Response {
             let mut pos = 0;
             while pos < self.body.len() {
                 let len = (self.body.len() - pos).min(CHUNK);
-                write!(out, "{len:x}\r\n")?;
+                push_hex(out, len);
+                out.extend_from_slice(b"\r\n");
                 segs.push(Seg::Out(mark, out.len()));
                 segs.push(Seg::Body(pos, pos + len));
                 mark = out.len();
@@ -375,7 +415,7 @@ impl Response {
             // Terminal chunk, trailer section, final blank line.
             out.extend_from_slice(b"0\r\n");
             for (name, value) in self.trailers.iter() {
-                write!(out, "{name}: {value}\r\n")?;
+                push_header(out, name, value);
             }
             out.extend_from_slice(b"\r\n");
             segs.push(Seg::Out(mark, out.len()));
@@ -383,12 +423,61 @@ impl Response {
             out.extend_from_slice(b"\r\n");
             segs.push(Seg::Out(0, out.len()));
         } else {
-            write!(out, "Content-Length: {}\r\n\r\n", self.body.len())?;
+            out.extend_from_slice(b"Content-Length: ");
+            push_decimal(out, self.body.len() as u64);
+            out.extend_from_slice(b"\r\n\r\n");
             segs.push(Seg::Out(0, out.len()));
             segs.push(Seg::Body(0, self.body.len()));
         }
-        flush_segments(w, out, &self.body, segs)?;
-        w.flush()
+    }
+
+    /// Parse a response from `r` into `self`, reusing its reason string,
+    /// header and trailer entries, and the connection scratch — the
+    /// response-side twin of [`Request::read_into`]. A bodiless response
+    /// (a 304 validation) refills in place with no heap allocation; a
+    /// body costs its one retain-time copy into a [`Body`].
+    pub fn read_into<R: BufRead>(
+        &mut self,
+        r: &mut R,
+        scratch: &mut ConnScratch,
+    ) -> Result<(), HttpError> {
+        {
+            let line = read_line_into(r, &mut scratch.line)?;
+            let mut parts = line.splitn(3, ' ');
+            self.version = Version::parse(parts.next().unwrap_or(""))
+                .map_err(|_| HttpError::BadStatusLine(line.to_owned()))?;
+            self.status = parts
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| HttpError::BadStatusLine(line.to_owned()))?;
+            self.reason.clear();
+            self.reason.push_str(parts.next().unwrap_or(""));
+        }
+        read_headers_into(r, &mut self.headers, &mut scratch.line)?;
+        self.trailers.reset();
+        let body = &mut scratch.body_vec;
+        if Self::bodiless_status(self.status) {
+            body.clear();
+        } else if self.headers.list_contains("Transfer-Encoding", "chunked") {
+            read_chunked_into_capped(r, body, &mut self.trailers, &mut scratch.line, MAX_BODY)?;
+        } else if let Some(n) = content_length(&self.headers)? {
+            if n > MAX_BODY {
+                return Err(HttpError::LimitExceeded("body cap"));
+            }
+            read_body_windowed(r, body, n)?;
+        } else {
+            body.clear();
+            r.take(MAX_BODY as u64 + 1).read_to_end(body)?;
+            if body.len() > MAX_BODY {
+                return Err(HttpError::LimitExceeded("body size"));
+            }
+        }
+        self.body = if body.is_empty() {
+            Body::empty()
+        } else {
+            Body::from(body.as_slice())
+        };
+        Ok(())
     }
 
     /// Parse a response. `head_request` suppresses body reading (responses
@@ -510,6 +599,44 @@ impl Response {
             trailers,
         })
     }
+}
+
+/// Append the header line `name: value\r\n`.
+pub fn push_header(out: &mut Vec<u8>, name: &str, value: &str) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b": ");
+    out.extend_from_slice(value.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `n` in decimal, without going through `core::fmt`.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Append `n` in lowercase hex (a chunk-size line).
+fn push_hex(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 16];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b"0123456789abcdef"[n % 16];
+        n /= 16;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Canonical reason phrases for the statuses this stack emits.

@@ -42,6 +42,10 @@ pub struct ConnScratch {
     /// Trailer scratch for chunked request bodies (parsed, then
     /// discarded, so the entry strings recycle across messages).
     pub trailers: HeaderMap,
+    /// Request bytes for an upstream exchange a proxy makes on this
+    /// connection's behalf. An event-driven engine lends the buffer to
+    /// the exchange and puts it back when the exchange ends.
+    pub upstream: Vec<u8>,
 }
 
 impl ConnScratch {

@@ -117,7 +117,7 @@ impl ConnectionPool {
         loop {
             let candidate = self.idle.lock().pop_front();
             let Some(mut conn) = candidate else { break };
-            if conn_is_quiet(conn.reader.get_ref()) {
+            if crate::util::socket_is_quiet(conn.reader.get_ref()) {
                 self.reuses.fetch_add(1, Ordering::Relaxed);
                 conn.reused = true;
                 return Ok(conn);
@@ -152,20 +152,6 @@ impl ConnectionPool {
         }
         idle.push_back(conn);
     }
-}
-
-/// Open with no readable bytes pending? (`WouldBlock` ⇔ quiet ⇔ healthy.)
-fn conn_is_quiet(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let quiet = matches!(
-        stream.peek(&mut probe),
-        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-    );
-    // A connection we cannot restore to blocking mode is unusable.
-    quiet && stream.set_nonblocking(false).is_ok()
 }
 
 /// Aggregate results of a driven request sequence.

@@ -44,12 +44,12 @@ use crate::util::{
 };
 use parking_lot::Mutex;
 use piggyback_core::datetime::{
-    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp,
-    DEFAULT_TRACE_EPOCH_UNIX,
+    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX,
 };
+use piggyback_core::element::PiggybackMessage;
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
-use piggyback_core::piggy_cache::{CacheStats, CachedEncoding, PiggybackCache};
-use piggyback_core::report::{parse_report, ReportEntry, PIGGY_REPORT_HEADER};
+use piggyback_core::piggy_cache::{CacheStats, PiggybackCache};
+use piggyback_core::report::{parse_report, visit_report, PIGGY_REPORT_HEADER};
 use piggyback_core::server::{AtomicServerStats, PiggybackServer, ServerStats};
 use piggyback_core::snapshot::{
     AccessState, FrozenVolumes, OriginSnapshot, SnapshotCell, StaticDirectoryVolumes,
@@ -60,8 +60,10 @@ use piggyback_core::types::{DurationMs, ResourceId, SourceId, Timestamp};
 use piggyback_core::volume::{
     DirectoryVolumes, ProbabilityVolumes, ProbabilityVolumesBuilder, SamplingMode,
 };
-use piggyback_core::wire::{decode_p_volume, encode_p_volume, P_VOLUME_HEADER};
-use piggyback_httpwire::{Body, ConnScratch, Request, Response};
+use piggyback_core::wire::{
+    decode_p_volume, encode_p_volume, encode_p_volume_into, P_VOLUME_HEADER,
+};
+use piggyback_httpwire::{reason_phrase, Body, BodySink, ConnScratch, Request, Response, Version};
 use piggyback_trace::synth::site::{Site, SiteConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -101,6 +103,39 @@ impl BodyCache {
             None => Body::from(synth_body(path, size)),
         }
     }
+}
+
+/// What one connection (threaded) or one reactor shard reuses to answer
+/// requests: the response is rebuilt in place (recycled header strings),
+/// and the `Piggy-filter` is parsed and the piggyback built and encoded
+/// into scratch, so a validation answered with a piggyback allocates
+/// nothing.
+struct OriginScratch {
+    resp: Response,
+    /// Volume members pushed after `resp` (`--push`), in order.
+    pushed: Vec<Response>,
+    filter: ProxyFilter,
+    piggyback: PiggybackScratch,
+}
+
+impl OriginScratch {
+    fn new() -> Self {
+        OriginScratch {
+            resp: Response::empty(),
+            pushed: Vec::new(),
+            filter: ProxyFilter::default(),
+            piggyback: PiggybackScratch::default(),
+        }
+    }
+}
+
+/// A piggyback under construction: the message, its ranking scratch, and
+/// its `P-volume` encoding.
+#[derive(Default)]
+struct PiggybackScratch {
+    msg: PiggybackMessage,
+    candidates: Vec<(ResourceId, u64)>,
+    pv: String,
 }
 
 /// Which volume scheme the origin serves with.
@@ -500,9 +535,11 @@ struct OriginSvc {
 
 #[cfg(target_os = "linux")]
 impl crate::reactor::ReactorService for OriginSvc {
-    type Ctx = ();
+    type Ctx = OriginScratch;
 
-    fn make_ctx(&self, _shard: usize) {}
+    fn make_ctx(&self, _shard: usize) -> OriginScratch {
+        OriginScratch::new()
+    }
 
     fn on_connect(&self, _peer: std::net::SocketAddr) {
         self.daemon.connections.fetch_add(1, Relaxed);
@@ -512,24 +549,23 @@ impl crate::reactor::ReactorService for OriginSvc {
         &self,
         req: &Request,
         peer: std::net::SocketAddr,
-        _ctx: &mut (),
+        ctx: &mut OriginScratch,
         scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
+        out: &mut piggyback_httpwire::OutQueue,
     ) -> io::Result<crate::reactor::Served> {
         let source = crate::util::source_from_addr(peer);
-        let mut pushed = Vec::new();
-        let resp = dispatch_request(
+        dispatch_request(
             req,
             source,
             &self.shared,
             &self.daemon,
             &self.obs,
             self.metrics,
-            &mut pushed,
+            ctx,
         );
-        resp.write_with(out, scratch)?;
-        for p in &pushed {
-            p.write_with(out, scratch)?;
+        out.send_response(&ctx.resp, scratch)?;
+        for p in &ctx.pushed {
+            out.send_response(p, scratch)?;
         }
         Ok(crate::reactor::Served::Inline)
     }
@@ -559,18 +595,17 @@ fn handle_connection(
     let mut writer = stream;
     let mut scratch = ConnScratch::new();
     let mut req = Request::empty();
-    let mut pushed: Vec<Response> = Vec::new();
+    let mut sc = OriginScratch::new();
     loop {
         if req.read_into(&mut reader, &mut scratch).is_err() {
             return Ok(()); // closed or malformed: drop connection
         }
         let keep = req.keep_alive();
-        pushed.clear();
-        let resp = dispatch_request(&req, source, shared, daemon, obs, metrics, &mut pushed);
-        resp.write_with(&mut writer, &mut scratch)?;
+        dispatch_request(&req, source, shared, daemon, obs, metrics, &mut sc);
+        sc.resp.write_with(&mut writer, &mut scratch)?;
         // Pushed volume members ride the same stream, right behind the
         // main response they were announced on.
-        for p in &pushed {
+        for p in &sc.pushed {
             p.write_with(&mut writer, &mut scratch)?;
         }
         if !keep {
@@ -579,11 +614,11 @@ fn handle_connection(
     }
 }
 
-/// One parsed request to one response, counters included. Shared by the
-/// threaded connection loop and the reactor service so both I/O modes
-/// account (and answer) identically. Pushed volume-member responses (if
-/// the origin runs with `push_max > 0` and the request opted in) are
-/// appended to `push_out`; the caller writes them after the main
+/// One parsed request to one response (`sc.resp`), counters included.
+/// Shared by the threaded connection loop and the reactor service so both
+/// I/O modes account (and answer) identically. Pushed volume-member
+/// responses (if the origin runs with `push_max > 0` and the request
+/// opted in) land in `sc.pushed`; the caller writes them after the main
 /// response, in order.
 fn dispatch_request(
     req: &Request,
@@ -592,23 +627,26 @@ fn dispatch_request(
     daemon: &AtomicDaemonStats,
     obs: &DaemonObs,
     metrics: bool,
-    push_out: &mut Vec<Response>,
-) -> Response {
+    sc: &mut OriginScratch,
+) {
+    sc.pushed.clear();
     // Admin scrape, intercepted before the request/response counters so
     // scrapes never appear in the ledger they report on. Served from
     // atomics alone — no serving state is locked.
     if strip_origin_form(&req.target) == METRICS_PATH {
-        return if metrics {
+        sc.resp = if metrics {
             origin_metrics_response(daemon, obs, shared)
         } else {
             Response::new(404)
         };
+        return;
     }
     daemon.requests.fetch_add(1, Relaxed);
     let start = std::time::Instant::now();
-    let resp = handle_request(req, source, shared, obs, push_out);
+    handle_request(req, source, shared, obs, sc);
+    let resp = &sc.resp;
     daemon.count_response(resp.status, resp.body.len());
-    for p in push_out.iter() {
+    for p in sc.pushed.iter() {
         daemon.pushes_sent.fetch_add(1, Relaxed);
         daemon
             .push_bytes_sent
@@ -617,7 +655,6 @@ fn dispatch_request(
         daemon.bytes_sent.fetch_add(p.body.len() as u64, Relaxed);
     }
     obs.class_for(resp.status).record(start.elapsed());
-    resp
 }
 
 /// Render the origin's Prometheus exposition from lock-free counters and
@@ -823,6 +860,7 @@ fn origin_metrics_response(
                 "counter",
                 s.offloads(),
             );
+            s.render_syscalls(&mut out, "pb_origin_reactor_syscalls_total", i);
         }
     }
     let mut resp = Response::new(200);
@@ -863,20 +901,27 @@ fn handle_request(
     source: SourceId,
     shared: &OriginShared,
     obs: &DaemonObs,
-    push_out: &mut Vec<Response>,
-) -> Response {
+    sc: &mut OriginScratch,
+) {
     if req.method != "GET" && req.method != "HEAD" {
-        let mut resp = Response::new(405);
-        resp.headers.insert("Allow", "GET, HEAD");
-        return resp;
+        sc.resp = Response::new(405);
+        sc.resp.headers.insert("Allow", "GET, HEAD");
+        return;
     }
     let path = strip_origin_form(&req.target);
     match &shared.core {
         // The legacy origin never pushes: push is a snapshot-path-only
         // baseline, gated below on `push_max`.
-        OriginCore::Legacy(state) => {
-            handle_request_legacy(req, path, source, state, &shared.clock, &shared.bodies, obs)
-        }
+        OriginCore::Legacy(state) => handle_request_legacy(
+            req,
+            path,
+            source,
+            state,
+            &shared.clock,
+            &shared.bodies,
+            obs,
+            &mut sc.resp,
+        ),
         OriginCore::Concurrent(c) => handle_request_concurrent(
             req,
             path,
@@ -886,11 +931,12 @@ fn handle_request(
             &shared.bodies,
             obs,
             shared.push_max,
-            push_out,
+            sc,
         ),
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn handle_request_legacy(
     req: &Request,
     path: &str,
@@ -899,18 +945,20 @@ fn handle_request_legacy(
     clock: &Clock,
     bodies: &BodyCache,
     obs: &DaemonObs,
-) -> Response {
+    resp: &mut Response,
+) {
     // Statistics endpoint (plain text, for operators and tests).
     if path == "/_pb/stats" {
         let st = state.lock();
-        return stats_response(&st.server.stats(), st.server.table().len(), st.generation);
+        *resp = stats_response(&st.server.stats(), st.server.table().len(), st.generation);
+        return;
     }
 
     // Modification control endpoint.
     if let Some(target) = path.strip_prefix("/_pb/modify") {
         let mut st = state.lock();
         let now = clock.now();
-        return match st.server.table().lookup(target) {
+        *resp = match st.server.table().lookup(target) {
             Some(r) => {
                 let prev = st
                     .server
@@ -925,6 +973,7 @@ fn handle_request_legacy(
             }
             None => Response::new(404),
         };
+        return;
     }
 
     let mut st = state.lock();
@@ -941,9 +990,8 @@ fn handle_request_legacy(
     // Lookup miss short-circuits before any filter parsing or piggyback
     // work: a 404 never carries `P-volume` and never touches the ledger.
     let Some(resource) = st.server.table().lookup(path) else {
-        let mut resp = Response::new(404);
-        resp.body = NOT_FOUND_BODY.clone();
-        return resp;
+        *resp = not_found();
+        return;
     };
     st.server.record_access(resource, source, now);
     let meta = *st.server.table().meta(resource).expect("registered");
@@ -959,7 +1007,23 @@ fn handle_request_legacy(
         }
     };
     drop(st);
-    respond(req, path, resource, meta, piggyback.as_deref(), bodies, obs)
+    respond(
+        req,
+        path,
+        resource,
+        meta,
+        piggyback.as_deref(),
+        bodies,
+        obs,
+        resp,
+    )
+}
+
+/// The 404 every unknown path gets (no `P-volume`, no ledger entry).
+fn not_found() -> Response {
+    let mut resp = Response::new(404);
+    resp.body = NOT_FOUND_BODY.clone();
+    resp
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -972,31 +1036,30 @@ fn handle_request_concurrent(
     bodies: &BodyCache,
     obs: &DaemonObs,
     push_max: usize,
-    push_out: &mut Vec<Response>,
-) -> Response {
+    sc: &mut OriginScratch,
+) {
     if path == "/_pb/stats" {
         let snap = c.snapshot.load();
-        return stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
+        sc.resp = stats_response(&c.stats.snapshot(), snap.table.len(), snap.generation);
+        return;
     }
     if let Some(target) = path.strip_prefix("/_pb/modify") {
-        return c.modify(target, clock.now());
+        sc.resp = c.modify(target, clock.now());
+        return;
     }
 
     let now = clock.now();
     let snap = c.snapshot.load();
 
     if let Some(v) = req.headers.get(PIGGY_REPORT_HEADER) {
-        if let Ok(entries) = parse_report(v) {
-            c.absorb_report(&snap, &entries, source, now);
-        }
+        c.absorb_report(&snap, v, source, now);
     }
 
     // Lookup miss short-circuits before any filter parsing or piggyback
     // work: a 404 never carries `P-volume` and never touches the ledger.
     let Some(resource) = snap.table.lookup(path) else {
-        let mut resp = Response::new(404);
-        resp.body = NOT_FOUND_BODY.clone();
-        return resp;
+        sc.resp = not_found();
+        return;
     };
     c.stats.requests.fetch_add(1, Relaxed);
     c.access.record(resource, now);
@@ -1006,15 +1069,26 @@ fn handle_request_concurrent(
     }
     let meta = *snap.table.meta(resource).expect("in snapshot");
 
-    let piggyback: Option<Arc<str>> =
-        match req.headers.get(PIGGY_FILTER_HEADER).map(ProxyFilter::parse) {
-            Some(Ok(filter)) => c.encode_piggyback(&snap, resource, &filter),
-            _ => {
-                c.stats.no_filter.fetch_add(1, Relaxed);
-                None
-            }
-        };
-    let mut resp = respond(req, path, resource, meta, piggyback.as_deref(), bodies, obs);
+    let piggybacked = match req.headers.get(PIGGY_FILTER_HEADER) {
+        Some(v) if sc.filter.parse_into(v).is_ok() => {
+            c.encode_piggyback(&snap, resource, &sc.filter, &mut sc.piggyback)
+        }
+        _ => {
+            c.stats.no_filter.fetch_add(1, Relaxed);
+            false
+        }
+    };
+    let piggyback = piggybacked.then_some(sc.piggyback.pv.as_str());
+    respond(
+        req,
+        path,
+        resource,
+        meta,
+        piggyback,
+        bodies,
+        obs,
+        &mut sc.resp,
+    );
 
     // Server-push baseline (`--push N`): after a full 200 to a peer that
     // opted in with `Piggy-push: accept`, stream up to `push_max` volume
@@ -1022,19 +1096,19 @@ fn handle_request_concurrent(
     // response announces the count so the receiver knows how many
     // responses to read before its next request.
     if push_max > 0
-        && resp.status == 200
+        && sc.resp.status == 200
         && req.method != "HEAD"
         && req.headers.get(PIGGY_PUSH_HEADER).is_some()
     {
-        if let Some(pv) = piggyback.as_deref() {
-            build_pushes(pv, &snap, &c.access, bodies, push_max, push_out);
-            if !push_out.is_empty() {
-                resp.headers
-                    .insert(PUSH_COUNT_HEADER, &push_out.len().to_string());
+        if let Some(pv) = piggyback {
+            build_pushes(pv, &snap, &c.access, bodies, push_max, &mut sc.pushed);
+            if !sc.pushed.is_empty() {
+                sc.resp
+                    .headers
+                    .insert(PUSH_COUNT_HEADER, &sc.pushed.len().to_string());
             }
         }
     }
-    resp
 }
 
 /// Materialize full pushed responses for the members of an encoded
@@ -1078,10 +1152,11 @@ fn build_pushes(
         p.headers.insert(PUSH_PATH_HEADER, &e.path);
         p.headers.insert(
             "Last-Modified",
-            &format_rfc1123(unix_from_timestamp(
+            &Rfc1123(unix_from_timestamp(
                 meta.last_modified,
                 DEFAULT_TRACE_EPOCH_UNIX,
-            )),
+            ))
+            .to_string(),
         );
         p.headers
             .insert("Content-Type", content_type_str(meta.content_type));
@@ -1090,10 +1165,12 @@ fn build_pushes(
     }
 }
 
-/// Build the HTTP response for a resolved resource: conditional handling,
-/// body lookup (memoized shared bytes), and piggyback placement (trailer,
-/// or header fallback). Mode-independent, so legacy and snapshot
-/// responses are byte-identical.
+/// Build the HTTP response for a resolved resource into `resp`, reusing
+/// its strings: conditional handling, body lookup (memoized shared
+/// bytes), and piggyback placement (trailer, or header fallback). The
+/// date is written from a stack buffer, not formatted into a `String`.
+/// Mode-independent, so legacy and snapshot responses are byte-identical.
+#[allow(clippy::too_many_arguments)]
 fn respond(
     req: &Request,
     path: &str,
@@ -1102,7 +1179,8 @@ fn respond(
     piggyback: Option<&str>,
     bodies: &BodyCache,
     obs: &DaemonObs,
-) -> Response {
+    resp: &mut Response,
+) {
     let lm_unix = unix_from_timestamp(meta.last_modified, DEFAULT_TRACE_EPOCH_UNIX);
     let not_modified = req
         .headers
@@ -1117,32 +1195,37 @@ fn respond(
     }
 
     let wants_chunked = req.headers.list_contains("TE", "chunked");
-    let mut resp = Response::new(if not_modified { 304 } else { 200 });
+    let status = if not_modified { 304 } else { 200 };
+    resp.version = Version::Http11;
+    resp.status = status;
+    resp.reason.clear();
+    resp.reason.push_str(reason_phrase(status));
+    resp.headers.reset();
+    resp.trailers.reset();
+    resp.body = Body::empty();
+    Rfc1123(lm_unix).with_str(|date| resp.headers.insert_recycled("Last-Modified", date));
     resp.headers
-        .insert("Last-Modified", &format_rfc1123(lm_unix));
-    resp.headers
-        .insert("Content-Type", content_type_str(meta.content_type));
+        .insert_recycled("Content-Type", content_type_str(meta.content_type));
     if not_modified {
         // No body to delay: piggyback as a plain header.
         if let Some(pv) = piggyback {
-            resp.headers.insert(P_VOLUME_HEADER, pv);
+            resp.headers.insert_recycled(P_VOLUME_HEADER, pv);
         }
-        return resp;
+        return;
     }
     if req.method != "HEAD" {
         resp.body = bodies.get(resource, path, meta.size);
     }
     match piggyback {
         Some(pv) if wants_chunked && req.method != "HEAD" => {
-            resp.trailers.insert(P_VOLUME_HEADER, pv);
+            resp.trailers.insert_recycled(P_VOLUME_HEADER, pv);
         }
         Some(pv) => {
             // Peer cannot take trailers: header fallback.
-            resp.headers.insert(P_VOLUME_HEADER, pv);
+            resp.headers.insert_recycled(P_VOLUME_HEADER, pv);
         }
         None => {}
     }
-    resp
 }
 
 impl ConcurrentOrigin {
@@ -1155,40 +1238,43 @@ impl ConcurrentOrigin {
         snap: &OriginSnapshot,
         resource: ResourceId,
         filter: &ProxyFilter,
-    ) -> Option<Arc<str>> {
-        let encoding = match (&self.cache, snap.cacheable_volume(resource, filter)) {
-            (Some(cache), Some(vol)) => {
-                cache.get_or_insert_with(vol, filter, snap.generation, || {
-                    compute_encoding(snap, resource, filter, &self.access)
+        pb: &mut PiggybackScratch,
+    ) -> bool {
+        let elements = match (&self.cache, snap.cacheable_volume(resource, filter)) {
+            (Some(cache), Some(vol)) => cache
+                .get_or_insert_with(vol, filter, snap.generation, || {
+                    compute_encoding(snap, resource, filter, &self.access, pb)
+                        .map(|n| (Arc::from(pb.pv.as_str()), n))
                 })
-            }
-            _ => compute_encoding(snap, resource, filter, &self.access),
+                .map(|(text, n)| {
+                    pb.pv.clear();
+                    pb.pv.push_str(&text);
+                    n
+                }),
+            _ => compute_encoding(snap, resource, filter, &self.access, pb),
         };
-        self.stats
-            .count_piggyback_outcome(encoding.as_ref().map(|&(_, n)| n));
-        encoding.map(|(text, _)| text)
+        self.stats.count_piggyback_outcome(elements);
+        elements.is_some()
     }
 
-    fn absorb_report(
-        &self,
-        snap: &OriginSnapshot,
-        entries: &[ReportEntry],
-        source: SourceId,
-        now: Timestamp,
-    ) {
-        for e in entries {
-            let Some(id) = snap.table.lookup(&e.path) else {
-                continue;
+    /// Fold a `Piggy-report` value (proxy-reported cache hits) into the
+    /// access state; a malformed report is ignored whole.
+    fn absorb_report(&self, snap: &OriginSnapshot, report: &str, source: SourceId, now: Timestamp) {
+        let _ = visit_report(report, |path, hits| {
+            let Some(id) = snap.table.lookup(path) else {
+                return;
             };
-            self.access.record_many(id, e.hits.min(1_000), now);
+            self.access.record_many(id, hits.min(1_000), now);
             if let Some(ep) = &self.epoch {
                 ep.histories.record(source, id, now);
             }
-        }
+        });
     }
 
-    /// `/_pb/modify{path}`: clone the table, bump the Last-Modified, and
-    /// swap in a successor snapshot under the (rare) swap lock.
+    /// `/_pb/modify{path}`: copy the table's metadata (the clone shares
+    /// the path interner, since a modification adds no path), bump the
+    /// Last-Modified, and swap in a successor snapshot under the (rare)
+    /// swap lock.
     fn modify(&self, target: &str, now: Timestamp) -> Response {
         let _swap = self.swap.lock();
         let snap = self.snapshot.load();
@@ -1275,17 +1361,22 @@ impl ConcurrentOrigin {
     }
 }
 
-/// Compute a fresh serialized piggyback: element selection against the
-/// snapshot plus live access state, then `P-volume` encoding.
+/// Compute a fresh serialized piggyback into `pb.pv`: element selection
+/// against the snapshot plus live access state, then `P-volume`
+/// encoding. Returns the element count (`None`: no piggyback).
 fn compute_encoding(
     snap: &OriginSnapshot,
     resource: ResourceId,
     filter: &ProxyFilter,
     access: &AccessState,
-) -> CachedEncoding {
-    let msg = snap.piggyback(resource, filter, access)?;
-    let text = encode_p_volume(&msg, &snap.table).ok()?;
-    Some((Arc::from(text), msg.len() as u64))
+    pb: &mut PiggybackScratch,
+) -> Option<u64> {
+    if !snap.piggyback_into(resource, filter, access, &mut pb.msg, &mut pb.candidates) {
+        return None;
+    }
+    pb.pv.clear();
+    encode_p_volume_into(&pb.msg, &snap.table, &mut pb.pv).ok()?;
+    Some(pb.msg.len() as u64)
 }
 
 /// Reduce absolute-form targets (`http://host/path`) to origin-form.

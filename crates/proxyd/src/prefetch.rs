@@ -54,7 +54,7 @@
 //! [`accept_push`] files accepted bodies as issued speculations;
 //! duplicate pushes settle instantly as wasted bytes.
 
-use crate::proxy::{last_modified, plain_get, send_upstream, ProxyShared};
+use crate::proxy::{last_modified, send_upstream, write_plain_get, ProxyShared};
 use crate::stats::AtomicProxyStats;
 use piggyback_core::types::{ResourceId, Timestamp};
 use piggyback_httpwire::{ConnScratch, Response};
@@ -339,7 +339,7 @@ fn fetch_and_install(
     // settlement happens in the continuation on that reactor thread.
     #[cfg(target_os = "linux")]
     if let Some(sub) = shared.upstream_submit.get() {
-        fetch_and_install_reactor(shared, sub, r, path, scratch);
+        fetch_and_install_reactor(shared, sub, r, path);
         return;
     }
     let stats = &shared.stats;
@@ -348,23 +348,22 @@ fn fetch_and_install(
     // A deliberately plain GET: no `Piggy-filter` (a speculative fetch
     // must not solicit more piggybacks and snowball), no
     // `If-Modified-Since`, no hit report.
-    let fetched = send_upstream(
-        shared,
-        &stats.prefetch_retries,
-        &plain_get(path),
-        scratch,
-        |c| Response::read(&mut c.reader, false),
-    );
+    scratch.upstream.clear();
+    write_plain_get(path, &mut scratch.upstream);
+    scratch.upstream.extend_from_slice(b"\r\n");
+    let fetched = send_upstream(shared, &stats.prefetch_retries, scratch, |c, _| {
+        Response::read(&mut c.reader, false)
+    });
     let resp = fetched.ok().map(|(conn, resp)| {
         shared.pool.checkin(conn);
         resp
     });
-    settle_speculation(shared, r, path, resp);
+    settle_speculation(shared, r, path, resp.as_ref());
 }
 
 /// Resolve an issued speculation with its exchange's result (`None`: the
 /// fetch failed): a 200 is installed, anything else settles as wasted.
-fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, resp: Option<Response>) {
+fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, resp: Option<&Response>) {
     let stats = &shared.stats;
     let Some(resp) = resp else {
         stats.prefetch_wasted.fetch_add(1, Relaxed);
@@ -380,7 +379,7 @@ fn settle_speculation(shared: &ProxyShared, r: ResourceId, path: &str, resp: Opt
         return;
     }
     let now = shared.clock.now();
-    let lm = last_modified(&resp, now);
+    let lm = last_modified(resp, now);
     shared.table.write().register_path(path, size, lm);
     install_speculative(shared, r, resp.body.clone(), size, lm, now);
 }
@@ -402,7 +401,6 @@ fn fetch_and_install_reactor(
     sub: &crate::reactor::ReactorSubmitter,
     r: ResourceId,
     path: &str,
-    scratch: &mut ConnScratch,
 ) {
     use crate::reactor::{UpstreamNext, UpstreamOutcome, UpstreamPlan};
     let stats = &shared.stats;
@@ -410,9 +408,8 @@ fn fetch_and_install_reactor(
     stats.prefetch_inflight.fetch_add(1, Relaxed);
     // The same plain GET as the blocking fetch.
     let mut request = Vec::with_capacity(64);
-    plain_get(path)
-        .write_with(&mut request, scratch)
-        .expect("serializing to a Vec cannot fail");
+    write_plain_get(path, &mut request);
+    request.extend_from_slice(b"\r\n");
     let landed = Arc::new((Mutex::new(false), Condvar::new()));
     let finish_shared = Arc::clone(shared);
     let finish_landed = Arc::clone(&landed);
@@ -424,7 +421,7 @@ fn fetch_and_install_reactor(
         retry: Box::new(move || {
             retry_shared.stats.prefetch_retries.fetch_add(1, Relaxed);
         }),
-        finish: Box::new(move |_scratch, _out, outcome: UpstreamOutcome| {
+        finish: Box::new(move |_scratch, _out, outcome: UpstreamOutcome<'_>| {
             let resp = match outcome {
                 UpstreamOutcome::Response(resp) => Some(resp),
                 _ => None,

@@ -30,9 +30,13 @@
 //! reply lives once, in the `settle*` functions below, and both engines
 //! call them: [`settle`] and [`settle_refetch`] for buffered responses,
 //! [`settle_streamed_miss`] and [`settle_prefix_hit`] for relays,
-//! [`serve_speculation`] for a landed prefetch. Requests are built by
-//! [`upstream_request`] and relay heads by [`write_stream_head`] and
-//! [`write_prefix_head`], again once for both engines.
+//! [`serve_speculation`] for a landed prefetch. Requests are serialized
+//! by [`write_upstream_request`] into the connection's reused buffer,
+//! cached bodies go out through [`write_cached`] (a hit, a validated copy
+//! and a stored miss alike: the head in scratch, the body by reference),
+//! and relay heads by [`write_stream_head`] and [`write_prefix_head`],
+//! again once for both engines. Upstream responses are parsed into a
+//! reused [`Response`] in both engines.
 
 use crate::client::{ConnectionPool, PoolStats, PooledConn};
 use crate::obs::{render_histogram, render_scalar, LatencyHistogram, ProxyObs};
@@ -43,21 +47,21 @@ pub use crate::stats::ProxyStats;
 use crate::util::{serve_with_stats, Clock, IoMode, IoStats, ServeOptions, ServerHandle};
 use parking_lot::{Mutex, RwLock};
 use piggyback_core::datetime::{
-    format_rfc1123, parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123,
-    DEFAULT_TRACE_EPOCH_UNIX,
+    parse_rfc1123, timestamp_from_unix, unix_from_timestamp, Rfc1123, DEFAULT_TRACE_EPOCH_UNIX,
 };
 use piggyback_core::filter::{ProxyFilter, PIGGY_FILTER_HEADER};
 use piggyback_core::proxy::{classify_element, ElementAction};
 use piggyback_core::report::{HitReporter, PIGGY_REPORT_HEADER};
 use piggyback_core::rpv::RpvTable;
 use piggyback_core::table::ResourceTable;
-use piggyback_core::types::{DurationMs, ResourceId, Timestamp};
+use piggyback_core::types::{DurationMs, ResourceId, Timestamp, VolumeId};
 use piggyback_core::wire::{decode_p_volume, P_VOLUME_HEADER};
 use piggyback_httpwire::{
-    encode_stream_head, write_all_parts, Body, BodyReader, BodyWriter, ConnScratch, HeaderMap,
-    HttpError, Request, Response, StreamFraming,
+    encode_stream_head, push_decimal, push_header, write_all_parts, Body, BodyReader, BodySink,
+    BodyWriter, ConnScratch, HeaderMap, HttpError, OutQueue, Request, Response, StreamFraming,
 };
 use piggyback_webcache::{CacheEntry, PolicyKind, ShardedBodyStore, ShardedCache};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::AtomicU64;
@@ -178,8 +182,12 @@ pub(crate) struct ProxyShared {
     /// the same resources. A hit clones the `Body` (a refcount bump) —
     /// the stored bytes are never copied again after the retain-time copy.
     pub(crate) bodies: ShardedBodyStore,
-    /// Per-source RPV lists keyed by client peer address.
-    rpv: Option<Mutex<RpvTable<SocketAddr>>>,
+    /// Per-source RPV lists keyed by client peer address, with each
+    /// source's rendered `Piggy-filter` value.
+    rpv: Option<Mutex<RpvState>>,
+    /// The `Piggy-filter` value when RPV is off: the template, rendered
+    /// once.
+    filter_value: Arc<str>,
     reporter: Mutex<HitReporter>,
     pub(crate) stats: AtomicProxyStats,
     /// Latency histograms + piggyback-overhead accounting (lock-free).
@@ -204,14 +212,47 @@ pub(crate) struct ProxyShared {
     pub(crate) upstream_submit: OnceLock<crate::reactor::ReactorSubmitter>,
 }
 
+/// RPV lists plus, per source, the `Piggy-filter` value last rendered
+/// for it and the id list it was rendered from.
+struct RpvState {
+    table: RpvTable<SocketAddr>,
+    rendered: HashMap<SocketAddr, (Vec<VolumeId>, Arc<str>)>,
+    /// Scratch for the current id list.
+    ids: Vec<VolumeId>,
+}
+
 impl ProxyShared {
-    /// The filter to send upstream, with this source's RPV ids attached.
-    fn filter_for(&self, source: SocketAddr, now: Timestamp) -> ProxyFilter {
-        let mut filter = self.cfg.filter.clone();
-        if let Some(rpv) = &self.rpv {
-            filter.rpv = rpv.lock().filter_ids(&source, now);
+    /// The `Piggy-filter` value to send upstream, with this source's RPV
+    /// ids attached. Rendered again only when the source's list changed;
+    /// otherwise the last rendering is shared (a refcount bump).
+    fn filter_for(&self, source: SocketAddr, now: Timestamp) -> Arc<str> {
+        let Some(rpv) = &self.rpv else {
+            return Arc::clone(&self.filter_value);
+        };
+        let mut st = rpv.lock();
+        let RpvState {
+            table,
+            rendered,
+            ids,
+        } = &mut *st;
+        match table.list_mut(&source) {
+            Some(list) => list.write_ids(now, ids),
+            None => ids.clear(),
         }
-        filter
+        if let Some((last, value)) = rendered.get(&source) {
+            if last == ids {
+                return Arc::clone(value);
+            }
+        }
+        let mut filter = self.cfg.filter.clone();
+        filter.rpv.clone_from(ids);
+        let value: Arc<str> = filter.to_header_value().into();
+        // Bounded like the RPV table itself.
+        if rendered.len() >= RPV_MAX_SOURCES && !rendered.contains_key(&source) {
+            rendered.clear();
+        }
+        rendered.insert(source, (ids.clone(), Arc::clone(&value)));
+        value
     }
 }
 
@@ -275,9 +316,14 @@ pub fn start_proxy(cfg: ProxyConfig) -> io::Result<ProxyHandle> {
         // the metadata cache's capacity, split per shard, retained by
         // recency (hits and piggybacked volume mentions both refresh).
         bodies: ShardedBodyStore::with_prefix_budget(shards, cfg.capacity_bytes / 8),
-        rpv: cfg
-            .rpv
-            .map(|(len, t)| Mutex::new(RpvTable::new(RPV_MAX_SOURCES, len, t))),
+        rpv: cfg.rpv.map(|(len, t)| {
+            Mutex::new(RpvState {
+                table: RpvTable::new(RPV_MAX_SOURCES, len, t),
+                rendered: HashMap::new(),
+                ids: Vec::new(),
+            })
+        }),
+        filter_value: cfg.filter.to_header_value().into(),
         reporter: Mutex::new(HitReporter::new()),
         stats: AtomicProxyStats::new(),
         obs: ProxyObs::default(),
@@ -391,71 +437,65 @@ impl crate::reactor::ReactorService for ProxySvc {
         peer: SocketAddr,
         ctx: &mut ProxyCtx,
         scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
+        out: &mut OutQueue,
     ) -> io::Result<crate::reactor::Served> {
         use crate::reactor::Served;
         let shared = &self.shared;
+        let start = Instant::now();
         if req.method == "GET" {
             let path = strip_origin_form(&req.target);
             if path != METRICS_PATH {
-                enum L1Verdict {
-                    Serve(Body, Timestamp),
-                    Drop,
-                    Miss,
-                }
-                let start = Instant::now();
-                let verdict = match ctx.l1.get(path) {
-                    Some(hit) if hit.epoch == shared.cache.mutation_epoch() => {
-                        if shared.clock.now() < hit.expires {
-                            L1Verdict::Serve(hit.body.clone(), hit.lm)
-                        } else {
-                            // Expired: the locked path counts the
-                            // validation; drop the stale copy.
-                            L1Verdict::Drop
-                        }
-                    }
-                    Some(_) => L1Verdict::Drop,
-                    None => L1Verdict::Miss,
-                };
-                match verdict {
-                    L1Verdict::Serve(body, lm) => {
-                        shared.stats.requests.fetch_add(1, Relaxed);
-                        shared.stats.affine_hits.fetch_add(1, Relaxed);
-                        count_fresh_hit(shared, path, start);
-                        write_hit(out, scratch, &body, lm)?;
-                        return Ok(Served::Inline);
-                    }
-                    L1Verdict::Drop => {
-                        ctx.l1.remove(path);
-                    }
-                    L1Verdict::Miss => {}
+                // A stale entry (mutated epoch, or expired: the locked
+                // path counts the validation) is never served; it stays
+                // to be refilled in place below.
+                let fresh = ctx
+                    .l1
+                    .get(path)
+                    .filter(|hit| {
+                        hit.epoch == shared.cache.mutation_epoch()
+                            && shared.clock.at(start) < hit.expires
+                    })
+                    .map(|hit| (hit.body.clone(), hit.lm));
+                if let Some((body, lm)) = fresh {
+                    shared.stats.requests.fetch_add(1, Relaxed);
+                    shared.stats.affine_hits.fetch_add(1, Relaxed);
+                    count_fresh_hit(shared, path, start);
+                    write_cached(out, scratch, &body, lm, "HIT")?;
+                    return Ok(Served::Inline);
                 }
             }
         }
         let epoch = shared.cache.mutation_epoch();
-        match plan_request(req, shared, peer) {
-            Step::Reply(Reply::Hit { body, lm, expires }) => {
+        match plan_request(req, shared, peer, start) {
+            Step::Hit { body, lm, expires } => {
                 // Fill the L1 only when nothing mutated around the locked
                 // lookup — then `epoch` certifies the snapshot is current.
                 if shared.cache.mutation_epoch() == epoch {
-                    if ctx.l1.len() >= L1_CAP {
-                        ctx.l1.clear();
+                    let hit = L1Hit {
+                        body: body.clone(),
+                        lm,
+                        expires,
+                        epoch,
+                    };
+                    let path = strip_origin_form(&req.target);
+                    // Refilling a stale entry keeps its owned key: under
+                    // steady mutation (every freshen moves the epoch) a
+                    // hit costs no allocation.
+                    match ctx.l1.get_mut(path) {
+                        Some(slot) => *slot = hit,
+                        None => {
+                            if ctx.l1.len() >= L1_CAP {
+                                ctx.l1.clear();
+                            }
+                            ctx.l1.insert(path.to_owned(), hit);
+                        }
                     }
-                    ctx.l1.insert(
-                        strip_origin_form(&req.target).to_owned(),
-                        L1Hit {
-                            body: body.clone(),
-                            lm,
-                            expires,
-                            epoch,
-                        },
-                    );
                 }
-                write_hit(out, scratch, &body, lm)?;
+                write_cached(out, scratch, &body, lm, "HIT")?;
                 Ok(Served::Inline)
             }
-            Step::Reply(Reply::Full(resp)) => {
-                resp.write_with(out, scratch)?;
+            Step::Reply(resp) => {
+                out.send_response(&resp, scratch)?;
                 Ok(Served::Inline)
             }
             Step::Upstream(job) => self.plan_upstream(job, scratch, out),
@@ -469,7 +509,7 @@ impl ProxySvc {
     fn offload(&self, job: UpstreamJob) -> crate::reactor::Served {
         let shared = Arc::clone(&self.shared);
         crate::reactor::Served::Offload(Box::new(move |scratch, out| {
-            serve_upstream(&shared, job, out, scratch)
+            serve_upstream(&shared, job, out, scratch, &mut Response::empty())
         }))
     }
 
@@ -477,7 +517,7 @@ impl ProxySvc {
         &self,
         job: UpstreamJob,
         scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
+        out: &mut OutQueue,
     ) -> io::Result<crate::reactor::Served> {
         use crate::reactor::Served;
         let shared = &self.shared;
@@ -510,7 +550,7 @@ impl ProxySvc {
         if streaming_eligible(shared, &job) {
             if let Some((r, head)) = prefix_entry(shared, &job.path) {
                 write_prefix_head(out, head.total_len())?;
-                out.extend_from_slice(head.as_slice());
+                out.push_body(&head);
                 let plan = suffix_relay_plan(
                     Arc::clone(shared),
                     job,
@@ -531,9 +571,10 @@ impl ProxySvc {
 }
 
 /// Wrap `leg` of `job` as a nonblocking exchange: the request from
-/// [`upstream_request`], the `upstream_retries` bump on a retry, and
-/// `finish` as the continuation, run on the reactor thread with the job,
-/// the parked client's scratch and output buffer, and the outcome.
+/// [`write_upstream_request`] (into the client connection's lent request
+/// buffer), the `upstream_retries` bump on a retry, and `finish` as the
+/// continuation, run on the reactor thread with the job, the parked
+/// client's scratch and output queue, and the outcome.
 #[cfg(target_os = "linux")]
 fn reactor_plan(
     shared: Arc<ProxyShared>,
@@ -545,16 +586,14 @@ fn reactor_plan(
             Arc<ProxyShared>,
             UpstreamJob,
             &mut ConnScratch,
-            &mut Vec<u8>,
-            crate::reactor::UpstreamOutcome,
+            &mut OutQueue,
+            crate::reactor::UpstreamOutcome<'_>,
         ) -> io::Result<crate::reactor::UpstreamNext>
         + Send
         + 'static,
 ) -> crate::reactor::UpstreamPlan {
-    let mut request = Vec::with_capacity(256);
-    upstream_request(&shared, &job, leg)
-        .write_with(&mut request, scratch)
-        .expect("serializing to a Vec cannot fail");
+    let mut request = std::mem::take(&mut scratch.upstream);
+    write_upstream_request(&shared, &job, leg, &mut request);
     let retry_shared = Arc::clone(&shared);
     crate::reactor::UpstreamPlan {
         origin: shared.cfg.origin,
@@ -569,9 +608,9 @@ fn reactor_plan(
 
 /// A buffered outcome as a settlement input (`None`: the exchange failed).
 #[cfg(target_os = "linux")]
-fn buffered_result(outcome: crate::reactor::UpstreamOutcome) -> Option<Exchanged> {
+fn buffered_result<'a>(outcome: crate::reactor::UpstreamOutcome<'a>) -> Option<Exchanged<'a>> {
     match outcome {
-        crate::reactor::UpstreamOutcome::Response(resp) => Some((resp, Vec::new())),
+        crate::reactor::UpstreamOutcome::Response(resp) => Some((resp, &[])),
         _ => None,
     }
 }
@@ -595,16 +634,18 @@ fn first_exchange_plan(
             prefix_bytes: shared.cfg.prefix_bytes,
             skip: 0,
             expect_total: None,
-            head: Box::new(move |resp, total, out| {
-                write_stream_head(&sh, resp, StreamFraming::Length(total), out)
+            head: Box::new(move |resp, total, out: &mut OutQueue| {
+                out.append_with(|out| {
+                    write_stream_head(&sh, resp, StreamFraming::Length(total), out)
+                })
             }),
         }
     });
     let finish = |shared: Arc<ProxyShared>,
                   job: UpstreamJob,
                   scratch: &mut ConnScratch,
-                  out: &mut Vec<u8>,
-                  outcome| match outcome {
+                  out: &mut OutQueue,
+                  outcome: UpstreamOutcome<'_>| match outcome {
         UpstreamOutcome::Streamed {
             head,
             total,
@@ -641,8 +682,8 @@ fn refetch_plan(
     let finish = move |shared: Arc<ProxyShared>,
                        job: UpstreamJob,
                        scratch: &mut ConnScratch,
-                       out: &mut Vec<u8>,
-                       outcome| {
+                       out: &mut OutQueue,
+                       outcome: crate::reactor::UpstreamOutcome<'_>| {
         settle_refetch(&shared, &job, pending, buffered_result(outcome))
             .write_with(out, scratch)?;
         Ok(crate::reactor::UpstreamNext::Done)
@@ -674,8 +715,8 @@ fn suffix_relay_plan(
     let finish = move |shared: Arc<ProxyShared>,
                        job: UpstreamJob,
                        _scratch: &mut ConnScratch,
-                       _out: &mut Vec<u8>,
-                       outcome| {
+                       _out: &mut OutQueue,
+                       outcome: UpstreamOutcome<'_>| {
         let end = match outcome {
             UpstreamOutcome::Streamed { .. } => SuffixEnd::Complete,
             UpstreamOutcome::StreamFailed { mismatch: true } => SuffixEnd::Mismatch,
@@ -702,6 +743,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
     // and the response head is formatted into the scratch and emitted
     // together with the referenced body bytes in one vectored write.
     let mut req = Request::empty();
+    // Upstream responses (a validation's 304) refill this one in place.
+    let mut up_resp = Response::empty();
     loop {
         match req.read_into_capped(&mut reader, &mut scratch, shared.cfg.client_body_cap) {
             Ok(()) => {}
@@ -715,12 +758,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
             Err(_) => return Ok(()),
         }
         let keep = req.keep_alive();
-        match plan_request(&req, shared, source) {
-            Step::Reply(Reply::Hit { body, lm, .. }) => {
-                write_hit(&mut writer, &mut scratch, &body, lm)?
+        match plan_request(&req, shared, source, Instant::now()) {
+            Step::Hit { body, lm, .. } => {
+                write_cached(&mut writer, &mut scratch, &body, lm, "HIT")?
             }
-            Step::Reply(Reply::Full(resp)) => resp.write_with(&mut writer, &mut scratch)?,
-            Step::Upstream(job) => serve_upstream(shared, job, &mut writer, &mut scratch)?,
+            Step::Reply(resp) => resp.write_with(&mut writer, &mut scratch)?,
+            Step::Upstream(job) => {
+                serve_upstream(shared, job, &mut writer, &mut scratch, &mut up_resp)?
+            }
         }
         if !keep {
             return Ok(());
@@ -731,12 +776,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<ProxyShared>) -> io::Result
 /// The blocking upstream leg: runs on the connection's own thread in
 /// threaded mode, on an offload worker in reactor mode. `job.start` spans
 /// planning, any queue wait, and the exchange, so latency histograms mean
-/// the same thing in both I/O modes.
-fn serve_upstream<W: Write>(
+/// the same thing in both I/O modes. `up_resp` is the connection's reused
+/// response for the buffered exchange.
+fn serve_upstream<W: BodySink>(
     shared: &Arc<ProxyShared>,
     job: UpstreamJob,
     w: &mut W,
     scratch: &mut ConnScratch,
+    up_resp: &mut Response,
 ) -> io::Result<()> {
     // A plain miss may be racing a speculative fetch of the same path:
     // cancel it while still queued (the demand fetch wins outright), or
@@ -755,80 +802,95 @@ fn serve_upstream<W: Write>(
             None => stream_miss(shared, job, w, scratch),
         };
     }
-    let first = exchange_upstream(shared, &job, Leg::First, scratch);
+    let pushed = exchange_upstream(shared, &job, Leg::First, scratch, up_resp);
+    let first = pushed.as_ref().map(|p| (&*up_resp, p.as_slice()));
     reply_upstream(shared, &job, first, w, scratch)
 }
 
 /// Settle a buffered result and write the reply, running the refetch a
 /// body-less 304 asks for.
-fn reply_upstream<W: Write>(
+fn reply_upstream<W: BodySink>(
     shared: &ProxyShared,
     job: &UpstreamJob,
-    result: Option<Exchanged>,
+    result: Option<Exchanged<'_>>,
     w: &mut W,
     scratch: &mut ConnScratch,
 ) -> io::Result<()> {
     let reply = match settle(shared, job, result) {
         Settled::Reply(reply) => reply,
         Settled::Refetch(pending) => {
-            let second = exchange_upstream(shared, job, Leg::Refetch, scratch);
+            let mut resp = Response::empty();
+            let pushed = exchange_upstream(shared, job, Leg::Refetch, scratch, &mut resp);
+            let second = pushed.as_ref().map(|p| (&resp, p.as_slice()));
             settle_refetch(shared, job, pending, second)
         }
     };
     reply.write_with(w, scratch)
 }
 
-/// Send `req` over a pooled origin connection and read the answer with
-/// `read`. A failure after the dial (a stale keep-alive, or an origin
-/// that died under the first request) retries once on a fresh
+/// Send the request bytes in `scratch.upstream` over a pooled origin
+/// connection and read the answer with `read` (which may use the rest of
+/// the scratch). A failure after the dial (a stale keep-alive, or an
+/// origin that died under the first request) retries once on a fresh
 /// connection, bumping `retries`.
 pub(crate) fn send_upstream<T>(
     shared: &ProxyShared,
     retries: &AtomicU64,
-    req: &Request,
     scratch: &mut ConnScratch,
-    read: impl Fn(&mut PooledConn) -> Result<T, HttpError>,
+    mut read: impl FnMut(&mut PooledConn, &mut ConnScratch) -> Result<T, HttpError>,
 ) -> Result<(PooledConn, T), HttpError> {
+    let request = std::mem::take(&mut scratch.upstream);
+    let mut sent = Err(HttpError::ConnectionClosed);
     for attempt in 0..2 {
         if attempt == 1 {
             retries.fetch_add(1, Relaxed);
         }
-        let mut conn = if attempt == 0 {
-            shared.pool.checkout()?
+        let conn = if attempt == 0 {
+            shared.pool.checkout()
         } else {
-            shared.pool.connect_fresh()?
+            shared.pool.connect_fresh()
         };
-        let sent = req
-            .write_with(&mut conn.writer, scratch)
+        let mut conn = match conn {
+            Ok(c) => c,
+            Err(e) => {
+                sent = Err(e.into());
+                break;
+            }
+        };
+        sent = conn
+            .writer
+            .write_all(&request)
+            .and_then(|()| conn.writer.flush())
             .map_err(HttpError::from)
-            .and_then(|()| read(&mut conn));
-        match sent {
-            Ok(v) => return Ok((conn, v)),
-            Err(_) if attempt == 0 => {}
-            Err(e) => return Err(e),
+            .and_then(|()| read(&mut conn, scratch))
+            .map(|v| (conn, v));
+        if sent.is_ok() {
+            break;
         }
     }
-    unreachable!("retry loop always returns by the second attempt")
+    scratch.upstream = request;
+    sent
 }
 
-/// One buffered upstream exchange. The connection returns to the pool
-/// only after the response — trailers and any server-pushed responses
-/// included — was read to completion. With `accept_push` the request
-/// carries `Piggy-push: accept`, and the full pushed responses the origin
-/// streamed after the main one (announced by its `X-Push-Count` header)
-/// come back alongside it.
+/// One buffered upstream exchange, parsed into `resp`; returns the
+/// server-pushed responses that followed (`None`: the exchange failed).
+/// The connection returns to the pool only after the response — trailers
+/// and any pushed responses included — was read to completion. With
+/// `accept_push` the request carries `Piggy-push: accept`, and the full
+/// pushed responses the origin streamed after the main one (announced by
+/// its `X-Push-Count` header) come back alongside it.
 fn exchange_upstream(
     shared: &ProxyShared,
     job: &UpstreamJob,
     leg: Leg,
     scratch: &mut ConnScratch,
-) -> Option<Exchanged> {
-    let req = upstream_request(shared, job, leg);
-    let (mut conn, resp) =
-        send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
-            Response::read(&mut c.reader, false)
-        })
-        .ok()?;
+    resp: &mut Response,
+) -> Option<Vec<Response>> {
+    write_upstream_request(shared, job, leg, &mut scratch.upstream);
+    let (mut conn, ()) = send_upstream(shared, &shared.stats.upstream_retries, scratch, |c, s| {
+        resp.read_into(&mut c.reader, s)
+    })
+    .ok()?;
     let announced = if shared.cfg.accept_push {
         resp.headers
             .get(PUSH_COUNT_HEADER)
@@ -845,11 +907,11 @@ fn exchange_upstream(
             Ok(p) => pushed.push(p),
             // Mid-push failure: keep what landed and drop the connection
             // (read position unknown) — the main exchange succeeded.
-            Err(_) => return Some((resp, pushed)),
+            Err(_) => return Some(pushed),
         }
     }
     shared.pool.checkin(conn);
-    Some((resp, pushed))
+    Some(pushed)
 }
 
 /// Decoded-payload bytes each streaming relay segment targets before the
@@ -891,7 +953,7 @@ fn tee_prefix(prefix: &mut Vec<u8>, want: usize, seg: &[u8]) {
 /// `Err` from here means origin-derived bytes already reached the client
 /// and the transfer cannot be completed — the caller drops the
 /// connection, the only honest signal left.
-fn serve_prefix_hit<W: Write>(
+fn serve_prefix_hit<W: BodySink>(
     shared: &ProxyShared,
     job: UpstreamJob,
     r: ResourceId,
@@ -908,8 +970,8 @@ fn serve_prefix_hit<W: Write>(
         .map_err(|e| client_relay_err(shared, &job, e))?;
     // Retrying is safe until origin payload bytes are relayed: only
     // request bytes and the cache-served head are out.
-    let req = upstream_request(shared, &job, Leg::Suffix);
-    let sent = send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
+    write_upstream_request(shared, &job, Leg::Suffix, &mut scratch.upstream);
+    let sent = send_upstream(shared, &shared.stats.upstream_retries, scratch, |c, _| {
         Response::read_head(&mut c.reader)
     });
     let Ok((mut conn, resp)) = sent else {
@@ -954,15 +1016,15 @@ fn serve_prefix_hit<W: Write>(
 /// store as a [`Body::prefix`] entry. Streamed objects are deliberately
 /// never cached whole. Errors after the client head are truncations, as
 /// in [`serve_prefix_hit`].
-fn stream_miss<W: Write>(
+fn stream_miss<W: BodySink>(
     shared: &ProxyShared,
     job: UpstreamJob,
     w: &mut W,
     scratch: &mut ConnScratch,
 ) -> io::Result<()> {
     let threshold = shared.cfg.stream_threshold;
-    let req = upstream_request(shared, &job, Leg::First);
-    let sent = send_upstream(shared, &shared.stats.upstream_retries, &req, scratch, |c| {
+    write_upstream_request(shared, &job, Leg::First, &mut scratch.upstream);
+    let sent = send_upstream(shared, &shared.stats.upstream_retries, scratch, |c, _| {
         Response::read_head(&mut c.reader)
     });
     // Until the client head goes out, every failure is a clean 502.
@@ -989,7 +1051,7 @@ fn stream_miss<W: Write>(
             return reply_upstream(shared, &job, None, w, scratch);
         }
         shared.pool.checkin(conn);
-        return reply_upstream(shared, &job, Some((resp, Vec::new())), w, scratch);
+        return reply_upstream(shared, &job, Some((&resp, &[])), w, scratch);
     }
     // A 200 whose body may be large. Fixed-length bodies know their size
     // up front; chunked ones accumulate until the threshold proves the
@@ -1014,7 +1076,7 @@ fn stream_miss<W: Write>(
                 resp.trailers.insert(n, v);
             }
             shared.pool.checkin(conn);
-            return reply_upstream(shared, &job, Some((resp, Vec::new())), w, scratch);
+            return reply_upstream(shared, &job, Some((&resp, &[])), w, scratch);
         }
     }
     // Cut through, framed by what we know: `Content-Length` when the
@@ -1070,26 +1132,41 @@ fn stream_miss<W: Write>(
     }
 }
 
-/// What a request resolves to: a fresh cache hit served straight from the
-/// shared body (no `Response` is built, no headers are allocated), or a
-/// full response for every other outcome.
+/// A settled reply: a cached body under an `X-Cache` label, written by
+/// [`write_cached`] with no `Response` built, or a full response for every
+/// other outcome.
 enum Reply {
+    Cached {
+        body: Body,
+        lm: Timestamp,
+        x_cache: &'static str,
+    },
+    Full(Response),
+}
+
+impl Reply {
+    fn write_with<W: BodySink>(&self, w: &mut W, scratch: &mut ConnScratch) -> io::Result<()> {
+        match self {
+            Reply::Cached { body, lm, x_cache } => write_cached(w, scratch, body, *lm, x_cache),
+            Reply::Full(resp) => w.send_response(resp, scratch),
+        }
+    }
+}
+
+/// What the lock-scoped planning phase resolved a request to: a fresh
+/// cache hit (no `Response` is built, no headers are allocated), a
+/// locally answered response, or a description of the upstream work
+/// still owed. Splitting here lets the reactor serve replies inline and
+/// carry `UpstreamJob` (self-contained: owned path and rendered filter)
+/// into a continuation without borrowing the request.
+enum Step {
     Hit {
         body: Body,
         lm: Timestamp,
         /// When the served entry stops being fresh (feeds the affine L1).
         expires: Timestamp,
     },
-    Full(Response),
-}
-
-/// What the lock-scoped planning phase resolved a request to: an
-/// immediately-serveable reply, or a description of the upstream work
-/// still owed. Splitting here lets the reactor serve `Reply` inline and
-/// carry `UpstreamJob` (self-contained: owned path, filter, drained
-/// report) into a continuation without borrowing the request.
-enum Step {
-    Reply(Reply),
+    Reply(Response),
     Upstream(UpstreamJob),
 }
 
@@ -1098,8 +1175,9 @@ struct UpstreamJob {
     path: String,
     source: SocketAddr,
     validate_lm: Option<Timestamp>,
-    filter: ProxyFilter,
-    report: Option<String>,
+    /// The rendered `Piggy-filter` value (shared, see
+    /// [`ProxyShared::filter_for`]).
+    filter: Arc<str>,
     start: Instant,
 }
 
@@ -1119,25 +1197,30 @@ enum Leg {
     Suffix,
 }
 
-/// Plan a request: cache consult under shard-scoped locks. Never blocks
-/// on the network, so it is safe on a reactor thread. The fresh-hit path
-/// is allocation-free; only a miss pays for the owned `UpstreamJob`.
-fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) -> Step {
+/// Plan a request that arrived at `start`: cache consult under
+/// shard-scoped locks. Never blocks on the network, so it is safe on a
+/// reactor thread. The fresh-hit path is allocation-free; only a miss
+/// pays for the owned `UpstreamJob`.
+fn plan_request(
+    req: &Request,
+    shared: &Arc<ProxyShared>,
+    source: SocketAddr,
+    start: Instant,
+) -> Step {
     if req.method != "GET" {
-        return Step::Reply(Reply::Full(Response::new(400)));
+        return Step::Reply(Response::new(400));
     }
     let path = strip_origin_form(&req.target);
     // Admin scrape, answered before the request counter so scrapes never
     // disturb the conservation invariant they report on.
     if path == METRICS_PATH {
-        return Step::Reply(Reply::Full(if shared.cfg.metrics {
+        return Step::Reply(if shared.cfg.metrics {
             metrics_response(shared)
         } else {
             Response::new(404)
-        }));
+        });
     }
-    let start = Instant::now();
-    let now = shared.clock.now();
+    let now = shared.clock.at(start);
     shared.stats.requests.fetch_add(1, Relaxed);
     let cached = shared
         .table
@@ -1159,11 +1242,11 @@ fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) ->
             // probes prefixes separately).
             if let Some(body) = shared.bodies.get(r).filter(|b| !b.is_prefix()) {
                 count_fresh_hit(shared, path, start);
-                return Step::Reply(Reply::Hit {
+                return Step::Hit {
                     body,
                     lm: snap.last_modified,
                     expires: snap.expires,
-                });
+                };
             }
             None
         }
@@ -1179,7 +1262,6 @@ fn plan_request(req: &Request, shared: &Arc<ProxyShared>, source: SocketAddr) ->
         source,
         validate_lm,
         filter: shared.filter_for(source, now),
-        report: shared.reporter.lock().drain_header(),
         start,
     })
 }
@@ -1197,46 +1279,53 @@ fn count_fresh_hit(shared: &ProxyShared, path: &str, start: Instant) {
 /// A GET for `path` carrying only `Host` — the start of every upstream
 /// request, and the whole of the plain ones (suffix relays, speculative
 /// fetches).
-pub(crate) fn plain_get(path: &str) -> Request {
-    let mut req = Request::new("GET", path);
-    req.headers.insert("Host", "origin");
-    req
+pub(crate) fn write_plain_get(path: &str, out: &mut Vec<u8>) {
+    for part in ["GET ", path, " HTTP/1.1\r\nHost: origin\r\n"] {
+        out.extend_from_slice(part.as_bytes());
+    }
 }
 
-/// The upstream request for `leg` of `job`, built once for both engines
-/// so the origin sees identical bytes from either.
-fn upstream_request(shared: &ProxyShared, job: &UpstreamJob, leg: Leg) -> Request {
-    let mut req = plain_get(&job.path);
-    if leg == Leg::Suffix {
-        return req;
-    }
-    req.headers.insert("TE", "chunked");
-    req.headers
-        .insert(PIGGY_FILTER_HEADER, &job.filter.to_header_value());
-    if shared.cfg.accept_push {
-        req.headers.insert(PIGGY_PUSH_HEADER, "accept");
-    }
-    if leg == Leg::First {
-        if let Some(r) = &job.report {
-            req.headers.insert(PIGGY_REPORT_HEADER, r);
+/// Serialize the upstream request for `leg` of `job` into `out`
+/// (cleared first), the same bytes for both engines. No `Request` or
+/// header map is built: the lines go straight into the reused buffer.
+fn write_upstream_request(shared: &ProxyShared, job: &UpstreamJob, leg: Leg, out: &mut Vec<u8>) {
+    out.clear();
+    write_plain_get(&job.path, out);
+    if leg != Leg::Suffix {
+        push_header(out, "TE", "chunked");
+        push_header(out, PIGGY_FILTER_HEADER, &job.filter);
+        if shared.cfg.accept_push {
+            push_header(out, PIGGY_PUSH_HEADER, "accept");
         }
-        if let Some(lm) = job.validate_lm {
-            let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-            req.headers
-                .insert("If-Modified-Since", &format_rfc1123(unix));
+        if leg == Leg::First {
+            // The pending hit report rides the first request that goes
+            // upstream, drained straight into its bytes.
+            let mark = out.len();
+            out.extend_from_slice(PIGGY_REPORT_HEADER.as_bytes());
+            out.extend_from_slice(b": ");
+            if shared.reporter.lock().drain_into(out) {
+                out.extend_from_slice(b"\r\n");
+            } else {
+                out.truncate(mark);
+            }
+            if let Some(lm) = job.validate_lm {
+                out.extend_from_slice(b"If-Modified-Since: ");
+                Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX)).write_to(out);
+                out.extend_from_slice(b"\r\n");
+            }
         }
     }
-    req
+    out.extend_from_slice(b"\r\n");
 }
 
 /// A buffered exchange's result: the response and any server-pushed
 /// responses that followed it on the same stream.
-type Exchanged = (Response, Vec<Response>);
+type Exchanged<'a> = (&'a Response, &'a [Response]);
 
 /// What settling a buffered upstream result leaves to do.
 enum Settled {
     /// The client reply; every counter, histogram and piggyback is applied.
-    Reply(Response),
+    Reply(Reply),
     /// A 304 validated an entry whose body is gone (evicted between
     /// planning and now): serving it would hand the client an empty 200
     /// with an epoch `Last-Modified`. The caller refetches
@@ -1257,9 +1346,9 @@ struct Pending {
 /// proxy's one decision per response: freshen and serve the validated
 /// copy (304), store and serve the body (200), or pass the status
 /// through uncached; then apply server pushes and the piggyback.
-fn settle(shared: &ProxyShared, job: &UpstreamJob, result: Option<Exchanged>) -> Settled {
+fn settle(shared: &ProxyShared, job: &UpstreamJob, result: Option<Exchanged<'_>>) -> Settled {
     let Some((resp, pushed)) = result else {
-        return Settled::Reply(fail_upstream(shared, job));
+        return Settled::Reply(Reply::Full(fail_upstream(shared, job)));
     };
     let now = shared.clock.now();
     let (reply, hist) = if resp.status == 304 {
@@ -1272,21 +1361,25 @@ fn settle(shared: &ProxyShared, job: &UpstreamJob, result: Option<Exchanged>) ->
         });
         let Some(body) = body else {
             return Settled::Refetch(Pending {
-                validation: resp,
-                pushed,
+                validation: resp.clone(),
+                pushed: pushed.to_vec(),
                 now,
             });
         };
         shared.stats.not_modified.fetch_add(1, Relaxed);
         let lm = job.validate_lm.unwrap_or(Timestamp::ZERO);
         (
-            cached_response(&body, lm, "VALIDATED"),
+            Reply::Cached {
+                body,
+                lm,
+                x_cache: "VALIDATED",
+            },
             &shared.obs.not_modified,
         )
     } else {
-        store_or_pass(shared, &job.path, &resp, now)
+        store_or_pass(shared, &job.path, resp, now)
     };
-    apply_piggybacks(shared, job, &pushed, [Some(&resp), None], now);
+    apply_piggybacks(shared, job, pushed, [Some(resp), None], now);
     hist.record(job.start.elapsed());
     Settled::Reply(reply)
 }
@@ -1298,8 +1391,8 @@ fn settle_refetch(
     shared: &ProxyShared,
     job: &UpstreamJob,
     pending: Pending,
-    result: Option<Exchanged>,
-) -> Response {
+    result: Option<Exchanged<'_>>,
+) -> Reply {
     let Pending {
         validation,
         mut pushed,
@@ -1307,22 +1400,16 @@ fn settle_refetch(
     } = pending;
     let (reply, hist, refetched) = match result {
         Some((resp, more)) => {
-            pushed.extend(more);
-            let (reply, hist) = store_or_pass(shared, &job.path, &resp, shared.clock.now());
+            pushed.extend_from_slice(more);
+            let (reply, hist) = store_or_pass(shared, &job.path, resp, shared.clock.now());
             (reply, hist, Some(resp))
         }
         None => {
             shared.stats.upstream_errors.fetch_add(1, Relaxed);
-            (Response::new(502), &shared.obs.error, None)
+            (Reply::Full(Response::new(502)), &shared.obs.error, None)
         }
     };
-    apply_piggybacks(
-        shared,
-        job,
-        &pushed,
-        [Some(&validation), refetched.as_ref()],
-        now,
-    );
+    apply_piggybacks(shared, job, &pushed, [Some(&validation), refetched], now);
     hist.record(job.start.elapsed());
     reply
 }
@@ -1333,7 +1420,7 @@ fn store_or_pass<'a>(
     path: &str,
     resp: &Response,
     now: Timestamp,
-) -> (Response, &'a LatencyHistogram) {
+) -> (Reply, &'a LatencyHistogram) {
     if resp.status == 200 {
         return (
             store_full_response(shared, path, resp, now),
@@ -1343,7 +1430,7 @@ fn store_or_pass<'a>(
     shared.stats.upstream_passthrough.fetch_add(1, Relaxed);
     let mut out = Response::new(resp.status);
     out.body = resp.body.clone();
-    (out, &shared.obs.passthrough)
+    (Reply::Full(out), &shared.obs.passthrough)
 }
 
 /// Server-pushed volume members enter the cache before piggyback
@@ -1449,7 +1536,7 @@ fn settle_prefix_hit(
 /// Serve the entry a just-landed speculation installed; `false` when the
 /// speculation resolved without a serveable entry (fetch failed, or
 /// already displaced) and the demand fetch should proceed.
-fn serve_speculation<W: Write>(
+fn serve_speculation<W: BodySink>(
     shared: &ProxyShared,
     job: &UpstreamJob,
     w: &mut W,
@@ -1471,7 +1558,7 @@ fn serve_speculation<W: Write>(
         return Ok(false);
     };
     count_fresh_hit(shared, &job.path, job.start);
-    write_hit(w, scratch, &body, snap.last_modified)?;
+    write_cached(w, scratch, &body, snap.last_modified, "HIT")?;
     Ok(true)
 }
 
@@ -1486,13 +1573,14 @@ fn write_stream_head(
     let lm = last_modified(resp, shared.clock.now());
     let mut head = Response::new(200);
     let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    head.headers.insert("Last-Modified", &format_rfc1123(unix));
+    head.headers
+        .insert("Last-Modified", &Rfc1123(unix).to_string());
     head.headers.insert("X-Cache", "MISS");
     encode_stream_head(&head, framing, out);
 }
 
 /// The client head of a prefix hit; the cached head bytes follow it.
-fn write_prefix_head(out: &mut Vec<u8>, total: usize) -> io::Result<()> {
+fn write_prefix_head(out: &mut impl Write, total: usize) -> io::Result<()> {
     write!(
         out,
         "HTTP/1.1 200 OK\r\nX-Cache: PREFIX\r\nContent-Length: {total}\r\n\r\n"
@@ -1547,12 +1635,7 @@ fn p_volume<'a>(head: &'a Response, trailers: &'a HeaderMap) -> Option<&'a str> 
 /// once, insert the entry, and settle/clean up everything the insert
 /// displaced. Shared by the miss path and the 304-with-evicted-body
 /// refetch fallback.
-fn store_full_response(
-    shared: &ProxyShared,
-    path: &str,
-    resp: &Response,
-    now: Timestamp,
-) -> Response {
+fn store_full_response(shared: &ProxyShared, path: &str, resp: &Response, now: Timestamp) -> Reply {
     shared.stats.full_fetches.fetch_add(1, Relaxed);
     shared
         .stats
@@ -1600,7 +1683,11 @@ fn store_full_response(
         // cannot hold bytes the cache will never serve.
         shared.bodies.remove(r);
     }
-    cached_response(&body, lm, "MISS")
+    Reply::Cached {
+        body,
+        lm,
+        x_cache: "MISS",
+    }
 }
 
 /// Apply one response's `P-volume` piggyback (see [`p_volume`]) to the
@@ -1622,7 +1709,7 @@ fn process_piggyback(shared: &ProxyShared, pv: Option<&str>, source: SocketAddr,
         .piggybacked_elements
         .fetch_add(wire.elements.len() as u64, Relaxed);
     if let Some(rpv) = &shared.rpv {
-        rpv.lock().record(&source, wire.volume, now);
+        rpv.lock().table.record(&source, wire.volume, now);
     }
     // Register the whole batch under one write acquisition: per-element
     // write locks let the writer-preference queue interleave a planner
@@ -1940,6 +2027,7 @@ fn metrics_response(shared: &ProxyShared) -> Response {
                 "counter",
                 s.relay_paused(),
             );
+            s.render_syscalls(&mut out, "pb_proxy_reactor_syscalls_total", i);
         }
     }
     let mut resp = Response::new(200);
@@ -1949,38 +2037,31 @@ fn metrics_response(shared: &ProxyShared) -> Response {
     resp
 }
 
-fn cached_response(body: &Body, lm: Timestamp, x_cache: &str) -> Response {
-    let mut resp = Response::new(200);
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    resp.headers.insert("Last-Modified", &format_rfc1123(unix));
-    resp.headers.insert("X-Cache", x_cache);
-    resp.body = body.clone();
-    resp
-}
-
-/// Serve a fresh cache hit without building a [`Response`]: the head is
-/// formatted straight into the connection scratch (the RFC 1123 date via
-/// [`Rfc1123`]'s `Display`, so no intermediate `String`) and emitted
-/// together with the shared body bytes — referenced, never copied — in
-/// one vectored write. Wire bytes are identical to
-/// `cached_response(body, lm, "HIT").write(..)`, which the
-/// `hit_bytes_match_cached_response` test pins down.
-fn write_hit<W: Write>(
+/// Serve a cached body without building a [`Response`]: the head is
+/// written into the connection scratch with no `core::fmt` (the date by
+/// [`Rfc1123::write_to`]), and goes out with the shared body bytes —
+/// referenced, never copied — through the sink: one vectored write on a
+/// socket, a queued body segment on the reactor's output queue. Wire
+/// bytes are those of a `Response` with `Last-Modified` and `X-Cache`
+/// headers and the body, which `cached_bytes_match_response_serializer`
+/// pins down. Hits, validated copies and stored misses all go out here.
+fn write_cached<W: BodySink>(
     w: &mut W,
     scratch: &mut ConnScratch,
     body: &Body,
     lm: Timestamp,
+    x_cache: &str,
 ) -> io::Result<()> {
-    let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
-    scratch.out.clear();
-    write!(
-        scratch.out,
-        "HTTP/1.1 200 OK\r\nLast-Modified: {}\r\nX-Cache: HIT\r\nContent-Length: {}\r\n\r\n",
-        Rfc1123(unix),
-        body.len()
-    )?;
-    write_all_parts(w, &[scratch.out.as_slice(), body.as_slice()])?;
-    w.flush()
+    let out = &mut scratch.out;
+    out.clear();
+    out.extend_from_slice(b"HTTP/1.1 200 OK\r\nLast-Modified: ");
+    Rfc1123(unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX)).write_to(out);
+    out.extend_from_slice(b"\r\nX-Cache: ");
+    out.extend_from_slice(x_cache.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    push_decimal(out, body.len() as u64);
+    out.extend_from_slice(b"\r\n\r\n");
+    w.send_head_body(&scratch.out, body)
 }
 
 /// Build a `HeaderMap` holding the standard piggyback request headers —
@@ -2061,10 +2142,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_bytes_match_cached_response() {
-        // The zero-copy hit path must stay byte-identical to serializing
-        // the seed's full `Response` — for bodies of every interesting
-        // size class (empty, small, multi-chunk-buffer sized).
+    fn cached_bytes_match_response_serializer() {
+        // The zero-copy cached path must stay byte-identical to
+        // serializing a full `Response` — for every label and bodies of
+        // every interesting size class (empty, small, multi-chunk-buffer
+        // sized) — whether the sink is a socket-like writer or the
+        // reactor's output queue.
         let mut scratch = ConnScratch::new();
         for (body, lm) in [
             (Body::empty(), Timestamp::ZERO),
@@ -2074,11 +2157,28 @@ mod tests {
                 Timestamp::from_secs(86_400 * 900 + 3),
             ),
         ] {
-            let mut fast = Vec::new();
-            write_hit(&mut fast, &mut scratch, &body, lm).unwrap();
-            let mut seed = Vec::new();
-            cached_response(&body, lm, "HIT").write(&mut seed).unwrap();
-            assert_eq!(fast, seed, "body len {}", body.len());
+            for label in ["HIT", "VALIDATED", "MISS"] {
+                let mut fast = Vec::new();
+                write_cached(&mut fast, &mut scratch, &body, lm, label).unwrap();
+                let mut queued = OutQueue::new();
+                write_cached(&mut queued, &mut scratch, &body, lm, label).unwrap();
+                let mut drained = Vec::new();
+                while !queued.is_empty() {
+                    queued.write_to(&mut drained).unwrap();
+                }
+                let mut seed = Vec::new();
+                let mut resp = Response::new(200);
+                let unix = unix_from_timestamp(lm, DEFAULT_TRACE_EPOCH_UNIX);
+                resp.headers.insert(
+                    "Last-Modified",
+                    &piggyback_core::datetime::format_rfc1123(unix),
+                );
+                resp.headers.insert("X-Cache", label);
+                resp.body = body.clone();
+                resp.write(&mut seed).unwrap();
+                assert_eq!(fast, seed, "body len {} {label}", body.len());
+                assert_eq!(drained, seed, "queued, body len {} {label}", body.len());
+            }
         }
     }
 

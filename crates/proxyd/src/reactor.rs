@@ -13,16 +13,25 @@
 //!   through a thin hand-declared FFI layer — no external crates) with
 //!   **edge-triggered** registration: every connection is registered once
 //!   for `IN|OUT|RDHUP` and never re-armed, so steady state does zero
-//!   `epoll_ctl` calls;
+//!   `epoll_ctl` calls. A read stops at the first short read (the socket
+//!   is drained, and new bytes raise a new edge) unless a hang-up was
+//!   reported, and a write stops at the first short write, so a socket
+//!   event costs one `recv` or one `writev`;
 //! - a **slab** of per-connection nonblocking state machines backed by the
-//!   existing [`ConnScratch`] + owned read/write buffers, addressed by
+//!   existing [`ConnScratch`], a read buffer filled in its spare capacity
+//!   (no zero-fill), and an [`OutQueue`] of head bytes and shared body
+//!   segments drained by one `writev` (a cached body is referenced, never
+//!   copied), addressed by
 //!   generation-tagged tokens (index in the low word, generation in the
 //!   high word) so a stale event or late offload completion can never hit
 //!   a recycled slot;
 //! - a **timer wheel** (coarse ticks, lazy revalidation) enforcing idle
 //!   and read (slow-loris) timeouts without per-connection timers;
-//! - an **eventfd-backed injection queue** through which offload workers
-//!   hand completed upstream responses back to the owning reactor.
+//! - an **eventfd-backed injection queue** through which other threads
+//!   (offload workers, the prefetcher) hand work to the owning reactor; a
+//!   reactor's own deferred work (upstream starts, instant dial failures)
+//!   goes through a **local queue** run at the end of the loop iteration,
+//!   at no system call.
 //!
 //! The upstream leg (a proxy cache miss fetching from the origin) is a
 //! first-class nonblocking state machine on the same epoll loop: the
@@ -42,11 +51,15 @@
 //! reactor, so a slow client can stall only its own connection —
 //! readiness on WRITABLE drains the rest.
 //!
+//! The loop reads the clock once per wakeup, and counts every system call
+//! it makes, per shard and kind ([`ReactorShardStats::syscalls`]).
+//!
 //! The wire output is byte-identical to the threaded path: both funnel
-//! through the same `write_hit`/`Response::write_with` serializers.
+//! through the same serializers (the proxy's cached-body head writer and
+//! `Response::write_with` / `queue_with`).
 
 use crate::util::{IoStats, OpenGuard, ServerHandle};
-use piggyback_httpwire::{parse, ConnScratch, HttpError, Request, Response};
+use piggyback_httpwire::{parse, ConnScratch, HttpError, OutQueue, Request, Response};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -137,6 +150,7 @@ mod sys {
         pub fn bind(fd: RawFd, addr: *const SockAddrIn, len: u32) -> i32;
         pub fn listen(fd: RawFd, backlog: i32) -> i32;
         pub fn read(fd: RawFd, buf: *mut u8, count: usize) -> isize;
+        pub fn recv(fd: RawFd, buf: *mut u8, len: usize, flags: i32) -> isize;
         pub fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
         pub fn close(fd: RawFd) -> i32;
     }
@@ -239,9 +253,11 @@ impl EventFd {
         unsafe { sys::write(self.0, &one as *const u64 as *const u8, 8) };
     }
 
+    /// Reset the counter. One read suffices: a non-semaphore eventfd
+    /// returns (and zeroes) the whole count at once.
     fn drain(&self) {
         let mut buf = [0u8; 8];
-        while unsafe { sys::read(self.0, buf.as_mut_ptr(), 8) } > 0 {}
+        unsafe { sys::read(self.0, buf.as_mut_ptr(), 8) };
     }
 }
 
@@ -323,6 +339,59 @@ pub struct ReactorShardStats {
     /// backpressure proof: a lagging client throttles the origin leg
     /// instead of ballooning the proxy's buffers.
     pub relay_paused: AtomicU64,
+    /// System calls this shard made, by [`Syscall`] (indexed by its
+    /// discriminant), counted at each call site whatever it returned.
+    pub syscalls: [AtomicU64; Syscall::ALL.len()],
+}
+
+/// The system calls a reactor shard makes, as counted in
+/// [`ReactorShardStats::syscalls`] and exported with an `op` label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Syscall {
+    EpollWait,
+    EpollCtl,
+    Accept,
+    /// `recv` on a client or upstream socket.
+    Read,
+    /// `writev` to a client, `send` to an upstream.
+    Write,
+    Socket,
+    Connect,
+    /// `setsockopt`/`getsockopt` and the nonblocking-mode switch.
+    Sockopt,
+    EventfdRead,
+    EventfdWrite,
+}
+
+impl Syscall {
+    pub const ALL: [Syscall; 10] = [
+        Syscall::EpollWait,
+        Syscall::EpollCtl,
+        Syscall::Accept,
+        Syscall::Read,
+        Syscall::Write,
+        Syscall::Socket,
+        Syscall::Connect,
+        Syscall::Sockopt,
+        Syscall::EventfdRead,
+        Syscall::EventfdWrite,
+    ];
+
+    /// The `op` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            Syscall::EpollWait => "epoll_wait",
+            Syscall::EpollCtl => "epoll_ctl",
+            Syscall::Accept => "accept",
+            Syscall::Read => "read",
+            Syscall::Write => "write",
+            Syscall::Socket => "socket",
+            Syscall::Connect => "connect",
+            Syscall::Sockopt => "sockopt",
+            Syscall::EventfdRead => "eventfd_read",
+            Syscall::EventfdWrite => "eventfd_write",
+        }
+    }
 }
 
 impl ReactorShardStats {
@@ -358,6 +427,25 @@ impl ReactorShardStats {
     }
     pub fn relay_paused(&self) -> u64 {
         self.relay_paused.load(Ordering::Relaxed)
+    }
+    pub fn syscalls(&self, op: Syscall) -> u64 {
+        self.syscalls[op as usize].load(Ordering::Relaxed)
+    }
+    fn count(&self, op: Syscall) {
+        self.syscalls[op as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Render the syscall counters as `{metric}{shard="i",op="..."}`.
+    pub(crate) fn render_syscalls(&self, out: &mut String, metric: &str, shard: usize) {
+        for op in Syscall::ALL {
+            crate::obs::render_scalar(
+                out,
+                metric,
+                &format!("shard=\"{shard}\",op=\"{}\"", op.label()),
+                "counter",
+                self.syscalls(op),
+            );
+        }
     }
 }
 
@@ -417,7 +505,7 @@ pub fn resolve_reactors(requested: usize) -> usize {
 
 /// Deferred response production, returned by [`ReactorService::handle`].
 pub enum Served {
-    /// The response was fully serialized into `out` on the reactor thread
+    /// The response was fully queued on `out` on the reactor thread
     /// (cache hits, metrics, synthesized errors).
     Inline,
     /// The request needs blocking work (push drains, speculative joins).
@@ -438,11 +526,14 @@ pub type OffloadFn = Box<dyn FnOnce(&mut ConnScratch, &mut Vec<u8>) -> io::Resul
 pub struct UpstreamPlan {
     /// Origin to dial (or reuse a kept-alive connection to).
     pub origin: SocketAddr,
-    /// The full serialized request (same `Request::write_with` serializer
-    /// as the threaded path, so the origin sees identical bytes).
+    /// The full serialized request (built by the same code as the
+    /// threaded path's, so the origin sees identical bytes). When the
+    /// exchange ends, the buffer goes back to the parked client's
+    /// [`ConnScratch::upstream`], so a connection's exchanges reuse one
+    /// allocation.
     pub request: Vec<u8>,
     /// Continuation run on the reactor thread with the outcome. It must
-    /// serialize the client-facing response into `out` (append-only) and
+    /// queue the client-facing response on `out` (append-only) and
     /// may return [`UpstreamNext::Again`] to chain a follow-up exchange
     /// (the refetch after a 304 whose body was evicted).
     pub finish: FinishFn,
@@ -483,13 +574,14 @@ pub struct StreamSpec {
 }
 
 /// Called with the origin's response head, the declared length, and the
-/// parked client's output buffer.
-pub type HeadFn = Box<dyn FnOnce(&Response, usize, &mut Vec<u8>) + Send>;
+/// parked client's output queue.
+pub type HeadFn = Box<dyn FnOnce(&Response, usize, &mut OutQueue) + Send>;
 
 /// How a nonblocking upstream exchange ended.
-pub enum UpstreamOutcome {
-    /// A complete response was parsed off the origin connection.
-    Response(Response),
+pub enum UpstreamOutcome<'a> {
+    /// A complete response was parsed off the origin connection, into the
+    /// shard's reused response scratch (valid for the continuation only).
+    Response(&'a Response),
     /// The exchange failed terminally (dial failure, second-attempt I/O
     /// error, or timeout); the continuation should synthesize a 502.
     Failed,
@@ -518,7 +610,12 @@ pub enum UpstreamNext {
 }
 
 pub type FinishFn = Box<
-    dyn FnOnce(&mut ConnScratch, &mut Vec<u8>, UpstreamOutcome) -> io::Result<UpstreamNext> + Send,
+    dyn for<'a> FnOnce(
+            &mut ConnScratch,
+            &mut OutQueue,
+            UpstreamOutcome<'a>,
+        ) -> io::Result<UpstreamNext>
+        + Send,
 >;
 pub type RetryFn = Box<dyn Fn() + Send>;
 
@@ -537,7 +634,7 @@ pub trait ReactorService: Send + Sync + 'static {
     /// Called once per accepted connection, on the reactor thread.
     fn on_connect(&self, _peer: SocketAddr) {}
 
-    /// Handle one parsed request. Serialize the response into `out`
+    /// Handle one parsed request. Queue the response on `out`
     /// (append-only; earlier pipelined responses may precede it) and
     /// return [`Served::Inline`]; return [`Served::Upstream`] to drive a
     /// nonblocking origin exchange on the reactor; or return
@@ -549,7 +646,7 @@ pub trait ReactorService: Send + Sync + 'static {
         peer: SocketAddr,
         ctx: &mut Self::Ctx,
         scratch: &mut ConnScratch,
-        out: &mut Vec<u8>,
+        out: &mut OutQueue,
     ) -> io::Result<Served>;
 }
 
@@ -562,16 +659,16 @@ struct Completion {
     ok: bool,
 }
 
-/// Work injected into a reactor from another thread (or deferred by the
-/// reactor itself to break re-entrancy).
+/// Work handed to a reactor from another thread (through its
+/// [`Injector`]) or deferred by the reactor itself (through its local
+/// queue, run at the end of the loop iteration) to break re-entrancy.
 enum Inbound {
     /// An offload worker finished serializing a response.
     Completion(Completion),
     /// Start an upstream exchange. `client` is the parked client token;
     /// None for detached prefetch plans, whose continuation settles the
-    /// speculation ledger. Routed through the queue (even shard-locally)
-    /// so exchange continuations always run at top level — never inside
-    /// the `pump` that produced the plan.
+    /// speculation ledger. Always queued, so exchange continuations run at
+    /// top level — never inside the `pump` that produced the plan.
     Start {
         plan: UpstreamPlan,
         client: Option<u64>,
@@ -582,22 +679,29 @@ enum Inbound {
     Failed(Exchange),
 }
 
-/// Cross-thread injection queue into one reactor, woken via eventfd.
+/// Cross-thread injection queue into one reactor, woken via eventfd. A
+/// reactor's own deferred work never goes through here: it uses the
+/// reactor's local queue and costs no system call.
 struct Injector {
     queue: Mutex<Vec<Inbound>>,
     efd: EventFd,
+    metrics: Arc<ReactorMetrics>,
+    shard: usize,
 }
 
 impl Injector {
-    fn new() -> io::Result<Arc<Self>> {
+    fn new(metrics: &Arc<ReactorMetrics>, shard: usize) -> io::Result<Arc<Self>> {
         Ok(Arc::new(Injector {
             queue: Mutex::new(Vec::new()),
             efd: EventFd::new()?,
+            metrics: Arc::clone(metrics),
+            shard,
         }))
     }
 
     fn push(&self, c: Inbound) {
         self.queue.lock().unwrap_or_else(|e| e.into_inner()).push(c);
+        self.metrics.shards[self.shard].count(Syscall::EventfdWrite);
         self.efd.wake();
     }
 
@@ -778,10 +882,8 @@ struct Conn {
     rbuf: Vec<u8>,
     /// Parser cursor into `rbuf` (compacted after each pump).
     rpos: usize,
-    /// Serialized responses awaiting the socket.
-    out: Vec<u8>,
-    /// Write cursor into `out`.
-    opos: usize,
+    /// Responses awaiting the socket: head bytes and shared bodies.
+    out: OutQueue,
     scratch: ConnScratch,
     req: Request,
     state: ConnState,
@@ -798,7 +900,7 @@ struct Conn {
 
 impl Conn {
     fn pending_out(&self) -> usize {
-        self.out.len() - self.opos
+        self.out.len()
     }
 }
 
@@ -974,8 +1076,9 @@ fn try_parse(req: &mut Request, buf: &[u8], scratch: &mut ConnScratch) -> Parse 
 // incremental response parsing (nonblocking upstream leg)
 
 enum ParseResp {
-    /// A full response was parsed, consuming this many bytes.
-    Complete(Box<Response>, usize),
+    /// A full response was parsed into the caller's response, consuming
+    /// this many bytes.
+    Complete(usize),
     /// A valid prefix; wait for more origin bytes.
     Incomplete,
     /// The bytes can never become a valid response (or EOF truncated one).
@@ -1041,9 +1144,15 @@ fn response_looks_complete(buf: &[u8], eof: bool) -> bool {
     eof
 }
 
-/// Attempt to parse one response from `buf`. `eof` means the origin
+/// Attempt to parse one response from `buf` into `resp`, reusing its
+/// strings and header entries and `scratch`. `eof` means the origin
 /// half-closed, so "ran out of bytes" is truncation, not "wait for more".
-fn try_parse_response(buf: &[u8], eof: bool) -> ParseResp {
+fn try_parse_response(
+    buf: &[u8],
+    eof: bool,
+    resp: &mut Response,
+    scratch: &mut ConnScratch,
+) -> ParseResp {
     if buf.is_empty() {
         return if eof {
             ParseResp::Malformed
@@ -1055,11 +1164,34 @@ fn try_parse_response(buf: &[u8], eof: bool) -> ParseResp {
         return ParseResp::Incomplete;
     }
     let mut r = SliceReader { buf, pos: 0 };
-    match Response::read(&mut r, false) {
-        Ok(resp) => ParseResp::Complete(Box::new(resp), r.pos),
+    match resp.read_into(&mut r, scratch) {
+        Ok(()) => ParseResp::Complete(r.pos),
         Err(HttpError::ConnectionClosed) if !eof => ParseResp::Incomplete,
         Err(_) => ParseResp::Malformed,
     }
+}
+
+/// One `recv` into the spare capacity of `buf` (at least [`READ_CHUNK`]
+/// is reserved), with no zero-fill of the space first. Returns the byte
+/// count (0 = EOF) and whether the read came up short of the space
+/// offered — on a nonblocking socket, proof that it is drained.
+fn recv_spare(fd: RawFd, buf: &mut Vec<u8>) -> io::Result<(usize, bool)> {
+    buf.reserve(READ_CHUNK);
+    let spare = buf.spare_capacity_mut();
+    let want = spare.len();
+    // SAFETY: `spare` is `want` writable bytes owned by `buf` and
+    // borrowed exclusively for the call; `recv` writes at most `want`
+    // bytes into it and `fd` stays open because the caller holds its
+    // stream.
+    let n = unsafe { sys::recv(fd, spare.as_mut_ptr().cast(), want, 0) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let n = n as usize;
+    // SAFETY: `recv` initialized exactly the first `n <= want` spare
+    // bytes, so the new length covers only initialized bytes.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok((n, n < want))
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,17 +1371,29 @@ struct Reactor<S: ReactorService> {
     io_stats: Arc<IoStats>,
     metrics: Arc<ReactorMetrics>,
     stop: Arc<AtomicBool>,
+    /// The clock, read once per wakeup: every activity stamp and deadline
+    /// check in one loop iteration uses this instant.
+    now: Instant,
     /// When fd exhaustion pauses accepting: the listener is deregistered
     /// and re-armed once this deadline passes (checked on timer ticks).
     accept_paused_until: Option<Instant>,
     accept_backoff: Duration,
     expired_buf: Vec<u64>,
     comp_buf: Vec<Inbound>,
+    /// Work this shard deferred to the end of the loop iteration (upstream
+    /// starts, instant dial failures), and its double buffer.
+    local: Vec<Inbound>,
+    local_batch: Vec<Inbound>,
     /// Scratch + sink for continuations whose client connection died
     /// mid-exchange (the continuation must still run: request counters
     /// were bumped at plan time and conservation needs the outcome).
     spare_scratch: ConnScratch,
-    spare_out: Vec<u8>,
+    spare_out: OutQueue,
+    /// Upstream responses are parsed into this one reused response (and
+    /// scratch), so a validation's 304 refills strings and header entries
+    /// in place instead of allocating a fresh message.
+    up_resp: Response,
+    up_scratch: ConnScratch,
 }
 
 impl<S: ReactorService> Reactor<S> {
@@ -1274,18 +1418,20 @@ impl<S: ReactorService> Reactor<S> {
             return;
         }
         let tick = self.wheel.tick;
-        let mut next_tick = Instant::now() + tick;
+        self.now = Instant::now();
+        let mut next_tick = self.now + tick;
         loop {
-            let now = Instant::now();
-            let timeout_ms = if next_tick > now {
-                ((next_tick - now).as_millis() as i32).saturating_add(1)
+            let timeout_ms = if next_tick > self.now {
+                ((next_tick - self.now).as_millis() as i32).saturating_add(1)
             } else {
                 0
             };
+            self.shard_stats().count(Syscall::EpollWait);
             let n = self.ep.wait(&mut events, timeout_ms);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
+            self.now = Instant::now();
             self.shard_stats().wakeups.fetch_add(1, Ordering::Relaxed);
             let mut accept_ready = false;
             for ev in &events[..n] {
@@ -1295,8 +1441,9 @@ impl<S: ReactorService> Reactor<S> {
                 match token {
                     LISTENER_TOKEN => accept_ready = true,
                     WAKE_TOKEN => {
+                        self.shard_stats().count(Syscall::EventfdRead);
                         self.inject.efd.drain();
-                        self.drain_completions();
+                        self.drain_injected();
                     }
                     t if t & UPSTREAM_BIT != 0 => self.upstream_event(token, mask),
                     _ => self.conn_event(token, mask),
@@ -1305,12 +1452,11 @@ impl<S: ReactorService> Reactor<S> {
             if accept_ready {
                 self.do_accept();
             }
-            let mut now = Instant::now();
-            while now >= next_tick {
+            while self.now >= next_tick {
                 self.on_tick();
                 next_tick += tick;
-                now = Instant::now();
             }
+            self.run_local();
         }
     }
 
@@ -1321,6 +1467,7 @@ impl<S: ReactorService> Reactor<S> {
             return;
         }
         for _ in 0..ACCEPTS_PER_WAKE {
+            self.shard_stats().count(Syscall::Accept);
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     self.accept_backoff = ACCEPT_BACKOFF_MIN;
@@ -1332,8 +1479,9 @@ impl<S: ReactorService> Reactor<S> {
                     // spinning on a level-triggered ready listener would
                     // burn the whole reactor.
                     self.io_stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    self.shard_stats().count(Syscall::EpollCtl);
                     let _ = self.ep.del(self.listener.as_raw_fd());
-                    self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
+                    self.accept_paused_until = Some(self.now + self.accept_backoff);
                     self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
                     break;
                 }
@@ -1347,7 +1495,9 @@ impl<S: ReactorService> Reactor<S> {
     fn register(&mut self, stream: TcpStream, peer: SocketAddr) {
         self.io_stats.accepts.fetch_add(1, Ordering::Relaxed);
         self.shard_stats().accepts.fetch_add(1, Ordering::Relaxed);
+        self.shard_stats().count(Syscall::Sockopt);
         let _ = stream.set_nodelay(true);
+        self.shard_stats().count(Syscall::Sockopt);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -1358,12 +1508,11 @@ impl<S: ReactorService> Reactor<S> {
             peer,
             rbuf: Vec::new(),
             rpos: 0,
-            out: Vec::new(),
-            opos: 0,
+            out: OutQueue::new(),
             scratch: ConnScratch::new(),
             req: Request::empty(),
             state: ConnState::Ready,
-            last_active: Instant::now(),
+            last_active: self.now,
             req_start: None,
             read_eof: false,
             relay_up: None,
@@ -1371,9 +1520,10 @@ impl<S: ReactorService> Reactor<S> {
         };
         let token = self.slab.insert(conn);
         // Registered once, edge-triggered, for the connection's lifetime:
-        // the kernel reports each readable/writable *transition* and the
-        // reactor drains to EAGAIN, so steady state does zero epoll_ctl.
+        // the kernel reports each readable/writable *transition*, so
+        // steady state does zero epoll_ctl.
         let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
+        self.shard_stats().count(Syscall::EpollCtl);
         if self.ep.add(fd, token, interest).is_err() {
             self.slab.remove(token);
             return;
@@ -1391,15 +1541,16 @@ impl<S: ReactorService> Reactor<S> {
 
     fn on_tick(&mut self) {
         if let Some(until) = self.accept_paused_until {
-            if Instant::now() >= until {
+            if self.now >= until {
                 self.accept_paused_until = None;
+                self.shard_stats().count(Syscall::EpollCtl);
                 if self
                     .ep
                     .add(self.listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)
                     .is_err()
                 {
                     // Re-arm failed (still out of fds): stay paused.
-                    self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
+                    self.accept_paused_until = Some(self.now + self.accept_backoff);
                 } else {
                     self.do_accept();
                 }
@@ -1412,13 +1563,14 @@ impl<S: ReactorService> Reactor<S> {
                 self.upstream_tick(token);
                 continue;
             }
+            let now = self.now;
             let decision = match self.slab.get_mut(token) {
                 None => continue,
                 Some(conn) => {
-                    let idle = conn.last_active.elapsed();
+                    let idle = now.saturating_duration_since(conn.last_active);
                     let read_stalled = conn
                         .req_start
-                        .is_some_and(|t| t.elapsed() >= self.idle_timeout);
+                        .is_some_and(|t| now.saturating_duration_since(t) >= self.idle_timeout);
                     // A connection parked on an upstream fetch gets the
                     // same deadline: if no completion arrives within the
                     // idle window the offload is presumed lost (job
@@ -1459,11 +1611,12 @@ impl<S: ReactorService> Reactor<S> {
             Reap,
             Stalled,
         }
+        let now = self.now;
         let verdict = match self.upstreams.get_mut(token & !UPSTREAM_BIT) {
             None => return,
             Some(up) => match up.phase {
                 UpPhase::Idle => {
-                    let idle = up.last_active.elapsed();
+                    let idle = now.saturating_duration_since(up.last_active);
                     if idle >= self.upstream_timeout {
                         Verdict::Reap
                     } else {
@@ -1474,7 +1627,7 @@ impl<S: ReactorService> Reactor<S> {
                     let ran = up
                         .ex
                         .as_ref()
-                        .map(|ex| ex.started.elapsed())
+                        .map(|ex| now.saturating_duration_since(ex.started))
                         .unwrap_or_default();
                     if ran >= self.upstream_timeout {
                         Verdict::Stalled
@@ -1506,55 +1659,50 @@ impl<S: ReactorService> Reactor<S> {
             self.close_conn(token);
             return;
         }
-        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 && !self.read_conn(token) {
+        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0
+            && !self.read_conn(token, mask)
+        {
             return;
         }
         self.pump(token);
     }
 
-    /// Drain the socket into `rbuf` until EAGAIN/EOF. `false` = closed.
-    fn read_conn(&mut self, token: u64) -> bool {
-        let mut fatal = false;
-        {
-            let conn = match self.slab.get_mut(token) {
-                Some(c) => c,
-                None => return false,
-            };
-            loop {
-                let old = conn.rbuf.len();
-                if old >= MAX_RBUF {
-                    fatal = true;
-                    break;
-                }
-                conn.rbuf.resize(old + READ_CHUNK, 0);
-                match conn.stream.read(&mut conn.rbuf[old..]) {
-                    Ok(0) => {
-                        conn.rbuf.truncate(old);
-                        conn.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.truncate(old + n);
-                        if conn.req_start.is_none() {
-                            conn.req_start = Some(Instant::now());
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        conn.rbuf.truncate(old);
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                        conn.rbuf.truncate(old);
-                        continue;
-                    }
-                    Err(_) => {
-                        conn.rbuf.truncate(old);
-                        fatal = true;
-                        break;
-                    }
-                }
+    /// Read the socket into `rbuf`. `false` = closed.
+    ///
+    /// Reading stops at the first short read: it drained the socket, and
+    /// with edge-triggered registration any later bytes raise a new
+    /// event. Only a reported hang-up (`EPOLLRDHUP`/`EPOLLHUP`) keeps
+    /// reading, to the EOF that no further edge would announce.
+    fn read_conn(&mut self, token: u64, mask: u32) -> bool {
+        let hup = mask & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0;
+        let now = self.now;
+        let stats = &self.metrics.shards[self.shard];
+        let Some(conn) = self.slab.get_mut(token) else {
+            return false;
+        };
+        let fatal = loop {
+            if conn.rbuf.len() >= MAX_RBUF {
+                break true;
             }
-        }
+            stats.count(Syscall::Read);
+            match recv_spare(conn.stream.as_raw_fd(), &mut conn.rbuf) {
+                Ok((0, _)) => {
+                    conn.read_eof = true;
+                    break false;
+                }
+                Ok((_, short)) => {
+                    if conn.req_start.is_none() {
+                        conn.req_start = Some(now);
+                    }
+                    if short && !hup {
+                        break false;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break true,
+            }
+        };
         if fatal {
             self.close_conn(token);
             return false;
@@ -1640,7 +1788,7 @@ impl<S: ReactorService> Reactor<S> {
                     }
                     conn.rpos = 0;
                 }
-                conn.last_active = Instant::now();
+                conn.last_active = self.now;
                 pre_flush_pending = conn.pending_out();
             }
             if let Some(job) = submit {
@@ -1648,10 +1796,10 @@ impl<S: ReactorService> Reactor<S> {
                 self.pool.submit(job);
             }
             if let Some(plan) = upstream {
-                // Deferred through the shard-local queue: the exchange
+                // Deferred to the end of the loop iteration: the exchange
                 // starts (and may instantly fail) at top level, never
                 // re-entering this pump.
-                self.inject.push(Inbound::Start {
+                self.local.push(Inbound::Start {
                     plan,
                     client: Some(token),
                 });
@@ -1690,7 +1838,10 @@ impl<S: ReactorService> Reactor<S> {
                     && matches!(conn.state, ConnState::Ready)
                     && conn.pending_out() == 0;
                 if let Some(u) = resume {
-                    self.drive_upstream(u);
+                    // The relay stopped reading mid-stream, so no edge
+                    // announces the bytes (or EOF) already waiting: read
+                    // to EAGAIN.
+                    self.drive_upstream(u, sys::EPOLLIN | sys::EPOLLRDHUP);
                 } else if done {
                     self.close_conn(token);
                 }
@@ -1699,21 +1850,26 @@ impl<S: ReactorService> Reactor<S> {
         }
     }
 
-    /// Write pending output until EAGAIN. `true` = connection closed.
+    /// Write pending output, one vectored write per call, until the queue
+    /// is empty or the socket takes less than it was offered (its send
+    /// buffer is full; `EPOLLOUT` reports when it drains). `true` =
+    /// connection closed.
     fn flush_conn(&mut self, token: u64) -> bool {
         let mut should_close = false;
         {
+            let stats = &self.metrics.shards[self.shard];
             let conn = match self.slab.get_mut(token) {
                 Some(c) => c,
                 None => return true,
             };
-            while conn.opos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.opos..]) {
-                    Ok(0) => {
-                        should_close = true;
-                        break;
+            while !conn.out.is_empty() {
+                stats.count(Syscall::Write);
+                match conn.out.write_to(&mut conn.stream) {
+                    Ok((_, all)) => {
+                        if !all {
+                            break;
+                        }
                     }
-                    Ok(n) => conn.opos += n,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -1722,12 +1878,8 @@ impl<S: ReactorService> Reactor<S> {
                     }
                 }
             }
-            if !should_close && conn.opos >= conn.out.len() {
-                conn.out.clear();
-                conn.opos = 0;
-                if matches!(conn.state, ConnState::Closing) {
-                    should_close = true;
-                }
+            if !should_close && conn.out.is_empty() && matches!(conn.state, ConnState::Closing) {
+                should_close = true;
             }
         }
         if should_close {
@@ -1736,54 +1888,74 @@ impl<S: ReactorService> Reactor<S> {
         should_close
     }
 
-    fn drain_completions(&mut self) {
+    /// Run the work other threads injected.
+    fn drain_injected(&mut self) {
         let mut comps = std::mem::take(&mut self.comp_buf);
         self.inject.drain_into(&mut comps);
         for inbound in comps.drain(..) {
-            let c = match inbound {
-                Inbound::Completion(c) => c,
-                Inbound::Start { plan, client } => {
-                    self.start_upstream(plan, client, 0);
-                    continue;
-                }
-                Inbound::Failed(ex) => {
-                    self.finish_exchange(ex, UpstreamOutcome::Failed);
-                    continue;
-                }
-            };
-            let token = c.token;
-            let alive = match self.slab.get_mut(token) {
-                // Connection died while the fetch was in flight (or the
-                // slot was reused — the generation tag catches that).
-                None => continue,
-                Some(conn) => {
-                    if c.ok {
-                        conn.out.extend_from_slice(&c.bytes);
-                        if let ConnState::Awaiting { keep } = conn.state {
-                            conn.state = if keep {
-                                ConnState::Ready
-                            } else {
-                                ConnState::Closing
-                            };
-                        }
-                        conn.last_active = Instant::now();
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if alive {
-                self.pump(token);
-            } else {
-                self.close_conn(token);
-            }
+            self.run_inbound(inbound);
         }
         self.comp_buf = comps;
     }
 
+    /// Run this shard's deferred work, including whatever that work
+    /// defers in turn.
+    fn run_local(&mut self) {
+        let mut batch = std::mem::take(&mut self.local_batch);
+        while !self.local.is_empty() {
+            std::mem::swap(&mut self.local, &mut batch);
+            for inbound in batch.drain(..) {
+                self.run_inbound(inbound);
+            }
+        }
+        self.local_batch = batch;
+    }
+
+    fn run_inbound(&mut self, inbound: Inbound) {
+        let c = match inbound {
+            Inbound::Completion(c) => c,
+            Inbound::Start { plan, client } => {
+                self.start_upstream(plan, client, 0);
+                return;
+            }
+            Inbound::Failed(ex) => {
+                self.finish_exchange(ex, UpstreamOutcome::Failed);
+                return;
+            }
+        };
+        let token = c.token;
+        let now = self.now;
+        let alive = match self.slab.get_mut(token) {
+            // Connection died while the fetch was in flight (or the
+            // slot was reused — the generation tag catches that).
+            None => return,
+            Some(conn) => {
+                if c.ok {
+                    conn.out.extend_from_slice(&c.bytes);
+                    if let ConnState::Awaiting { keep } = conn.state {
+                        conn.state = if keep {
+                            ConnState::Ready
+                        } else {
+                            ConnState::Closing
+                        };
+                    }
+                    conn.last_active = now;
+                    true
+                } else {
+                    false
+                }
+            }
+        };
+        if alive {
+            self.pump(token);
+        } else {
+            self.close_conn(token);
+        }
+    }
+
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.slab.remove(token) {
+            self.shard_stats().count(Syscall::EpollCtl);
             let _ = self.ep.del(conn.stream.as_raw_fd());
             self.shard_stats().conns.fetch_sub(1, Ordering::Relaxed);
             // A relay feeding this client has nowhere to write: abort it
@@ -1797,7 +1969,7 @@ impl<S: ReactorService> Reactor<S> {
 
     // -- nonblocking upstream leg --------------------------------------------
 
-    /// Begin (or continue, on retry) an upstream exchange: reuse a healthy
+    /// Begin (or continue, on retry) an upstream exchange: reuse a
     /// kept-alive connection or dial fresh. `client` is the parked client
     /// token (None for detached prefetch plans); `attempt` 1 marks the
     /// one-shot retry on a fresh connection.
@@ -1807,7 +1979,7 @@ impl<S: ReactorService> Reactor<S> {
             client,
             attempt,
             wpos: 0,
-            started: Instant::now(),
+            started: self.now,
             relay: None,
         };
         if attempt == 0 {
@@ -1815,46 +1987,31 @@ impl<S: ReactorService> Reactor<S> {
                 .upstream_inflight
                 .fetch_add(1, Ordering::Relaxed);
         }
-        // Reuse: pop idle connections to this origin until one passes the
-        // quiet-peek health check (WouldBlock ⇔ open and silent — the same
-        // probe as the threaded pool's checkout).
+        // Reuse without probing the socket: any event on an idle upstream
+        // (origin FIN, unsolicited bytes) has already closed it, since
+        // starts run after the iteration's events. A FIN that lands after
+        // that fails the exchange, and its one-shot retry on a fresh
+        // connection covers it.
         if attempt == 0 {
-            let mut reuse = None;
             while let Some(utoken) = self.idle_ups.pop_front() {
-                let healthy = match self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-                    None => false,
-                    Some(up) => {
-                        let mut probe = [0u8; 1];
-                        matches!(
-                            up.stream.peek(&mut probe),
-                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-                        )
-                    }
+                let now = self.now;
+                let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) else {
+                    continue;
                 };
-                if healthy {
-                    reuse = Some(utoken);
-                    break;
-                }
-                self.close_upstream(utoken);
-            }
-            if let Some(utoken) = reuse {
-                self.shard_stats()
-                    .upstream_reuses
-                    .fetch_add(1, Ordering::Relaxed);
-                let up = self
-                    .upstreams
-                    .get_mut(utoken & !UPSTREAM_BIT)
-                    .expect("healthy idle upstream");
                 up.phase = UpPhase::Busy;
                 up.rbuf.clear();
                 up.read_eof = false;
-                up.last_active = Instant::now();
+                up.last_active = now;
                 up.ex = Some(ex);
+                self.shard_stats()
+                    .upstream_reuses
+                    .fetch_add(1, Ordering::Relaxed);
                 // The single wheel entry created at dial time is still
                 // live (lazy revalidation reschedules it for the life of
                 // the connection), so no new entry here — duplicates
-                // would accumulate one per reuse.
-                self.drive_upstream(utoken);
+                // would accumulate one per reuse. Nothing can be read
+                // before the request goes out: write only.
+                self.drive_upstream(utoken, 0);
                 return;
             }
         }
@@ -1862,16 +2019,16 @@ impl<S: ReactorService> Reactor<S> {
     }
 
     /// Fresh nonblocking dial for `ex`. Instant failures are deferred
-    /// through the injector so the continuation never runs inside `pump`.
+    /// through the local queue so the continuation never runs inside
+    /// `pump`.
     fn dial_upstream(&mut self, ex: Exchange) {
-        self.shard_stats()
-            .upstream_dials
-            .fetch_add(1, Ordering::Relaxed);
-        match dial_nonblocking(ex.plan.origin) {
+        let stats = self.shard_stats();
+        stats.upstream_dials.fetch_add(1, Ordering::Relaxed);
+        match dial_nonblocking(ex.plan.origin, stats) {
             Err(_) => {
                 // A connect error is terminal (no retry) on either
                 // attempt, the same contract as the pooled dial.
-                self.inject.push(Inbound::Failed(ex));
+                self.local.push(Inbound::Failed(ex));
             }
             Ok((stream, connected)) => {
                 let up = UpConn {
@@ -1883,23 +2040,24 @@ impl<S: ReactorService> Reactor<S> {
                     },
                     rbuf: Vec::new(),
                     read_eof: false,
-                    last_active: Instant::now(),
+                    last_active: self.now,
                     ex: Some(ex),
                 };
                 let fd = up.stream.as_raw_fd();
                 let utoken = self.upstreams.insert(up) | UPSTREAM_BIT;
                 let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
+                self.shard_stats().count(Syscall::EpollCtl);
                 if self.ep.add(fd, utoken, interest).is_err() {
                     let up = self.upstreams.remove(utoken & !UPSTREAM_BIT);
                     if let Some(ex) = up.and_then(|u| u.ex) {
-                        self.inject.push(Inbound::Failed(ex));
+                        self.local.push(Inbound::Failed(ex));
                     }
                     return;
                 }
                 let ticks = self.wheel.ticks_for(self.upstream_timeout);
                 self.wheel.schedule(utoken, ticks);
                 if connected {
-                    self.drive_upstream(utoken);
+                    self.drive_upstream(utoken, 0);
                 }
             }
         }
@@ -1926,12 +2084,14 @@ impl<S: ReactorService> Reactor<S> {
                         .get_mut(utoken & !UPSTREAM_BIT)
                         .map(|up| up.stream.as_raw_fd());
                     let Some(fd) = fd else { return };
+                    self.shard_stats().count(Syscall::Sockopt);
                     if so_error(fd) == 0 {
+                        let now = self.now;
                         if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
                             up.phase = UpPhase::Busy;
-                            up.last_active = Instant::now();
+                            up.last_active = now;
                         }
-                        self.drive_upstream(utoken);
+                        self.drive_upstream(utoken, mask);
                     } else {
                         // Connect failed: no retry, same as the threaded
                         // pool's checkout error propagating.
@@ -1944,7 +2104,7 @@ impl<S: ReactorService> Reactor<S> {
                     self.upstream_exchange_error(utoken);
                     return;
                 }
-                self.drive_upstream(utoken);
+                self.drive_upstream(utoken, mask);
             }
             _ => {
                 // Any event on a parked idle connection (origin FIN,
@@ -1956,17 +2116,20 @@ impl<S: ReactorService> Reactor<S> {
         }
     }
 
-    /// Write request bytes / read response bytes until EAGAIN, then try to
-    /// parse. A plan carrying a [`StreamSpec`] switches to relay mode as
-    /// soon as the response head qualifies: payload segments move from the
-    /// origin buffer straight into the parked client's output buffer,
-    /// pausing origin reads while the client sits above the high-water
-    /// mark. Terminal conditions route to resolve/retry/fail.
-    fn drive_upstream(&mut self, utoken: u64) {
+    /// Write request bytes, read response bytes if `mask` reports the
+    /// socket readable (under the same short-read rule as
+    /// [`read_conn`](Self::read_conn)), then try to parse. A plan
+    /// carrying a [`StreamSpec`] switches to relay mode as soon as the
+    /// response head qualifies: payload segments move from the origin
+    /// buffer straight into the parked client's output queue, pausing
+    /// origin reads while the client sits above the high-water mark.
+    /// Terminal conditions route to resolve/retry/fail.
+    fn drive_upstream(&mut self, utoken: u64, mask: u32) {
         enum Out {
             Wait,
             Error,
-            Resolved(Box<Response>, bool),
+            /// A complete response sits in `up_resp`; park/close by dirty.
+            Resolved(bool),
             /// Relay delivered the last payload byte; park/close by dirty.
             StreamDone {
                 dirty: bool,
@@ -1978,6 +2141,8 @@ impl<S: ReactorService> Reactor<S> {
             /// retried.
             ClientGone,
         }
+        let hup = mask & (sys::EPOLLRDHUP | sys::EPOLLHUP) != 0;
+        let mut can_read = hup || mask & sys::EPOLLIN != 0;
         loop {
             let mut flush_client = None;
             let mut backpressured = false;
@@ -1987,6 +2152,9 @@ impl<S: ReactorService> Reactor<S> {
                     slab,
                     metrics,
                     shard,
+                    up_resp,
+                    up_scratch,
+                    now,
                     ..
                 } = self;
                 let stats = &metrics.shards[*shard];
@@ -1996,14 +2164,22 @@ impl<S: ReactorService> Reactor<S> {
                 };
                 let Some(ex) = up.ex.as_mut() else { return };
                 let mut verdict = Out::Wait;
-                // Write leg.
+                // Write leg. A short send means the socket buffer is
+                // full; EPOLLOUT reports when it drains.
                 while ex.wpos < ex.plan.request.len() {
+                    stats.count(Syscall::Write);
                     match up.stream.write(&ex.plan.request[ex.wpos..]) {
                         Ok(0) => {
                             verdict = Out::Error;
                             break;
                         }
-                        Ok(n) => ex.wpos += n,
+                        Ok(n) => {
+                            let short = n < ex.plan.request.len() - ex.wpos;
+                            ex.wpos += n;
+                            if short {
+                                break;
+                            }
+                        }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(_) => {
@@ -2013,7 +2189,7 @@ impl<S: ReactorService> Reactor<S> {
                     }
                 }
                 // Read leg (only meaningful once the request is fully out,
-                // but draining early bytes is harmless and keeps ET armed).
+                // but draining early bytes is harmless).
                 if matches!(verdict, Out::Wait) {
                     'read: loop {
                         // Relay mode: move buffered payload to the client
@@ -2097,16 +2273,18 @@ impl<S: ReactorService> Reactor<S> {
                                 }
                             }
                         }
-                        let old = up.rbuf.len();
-                        if old >= MAX_RBUF {
+                        if !can_read {
+                            break 'read;
+                        }
+                        if up.rbuf.len() >= MAX_RBUF {
                             verdict = Out::Error;
                             break 'read;
                         }
-                        up.rbuf.resize(old + READ_CHUNK, 0);
-                        match up.stream.read(&mut up.rbuf[old..]) {
-                            Ok(0) => {
-                                up.rbuf.truncate(old);
+                        stats.count(Syscall::Read);
+                        match recv_spare(up.stream.as_raw_fd(), &mut up.rbuf) {
+                            Ok((0, _)) => {
                                 up.read_eof = true;
+                                can_read = false;
                                 if ex.relay.is_some() || !up.rbuf.is_empty() {
                                     // Let the relay / head decision see EOF.
                                     continue 'read;
@@ -2120,17 +2298,21 @@ impl<S: ReactorService> Reactor<S> {
                                 }
                                 break 'read;
                             }
-                            Ok(n) => up.rbuf.truncate(old + n),
+                            Ok((_, short)) => {
+                                // A short read drained the socket; the next
+                                // bytes raise a new edge. Process what we
+                                // have, read no more unless a hang-up was
+                                // reported (its EOF raises no new edge).
+                                if short && !hup {
+                                    can_read = false;
+                                }
+                            }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                up.rbuf.truncate(old);
+                                can_read = false;
                                 break 'read;
                             }
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                                up.rbuf.truncate(old);
-                                continue 'read;
-                            }
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue 'read,
                             Err(_) => {
-                                up.rbuf.truncate(old);
                                 verdict = Out::Error;
                                 break 'read;
                             }
@@ -2138,7 +2320,7 @@ impl<S: ReactorService> Reactor<S> {
                     }
                 }
                 if matches!(verdict, Out::Wait) && ex.relay.is_none() && ex.plan.stream.is_none() {
-                    match try_parse_response(&up.rbuf, up.read_eof) {
+                    match try_parse_response(&up.rbuf, up.read_eof, up_resp, up_scratch) {
                         ParseResp::Incomplete => {
                             if up.read_eof {
                                 // EOF with no parsable response: stale
@@ -2147,17 +2329,17 @@ impl<S: ReactorService> Reactor<S> {
                             }
                         }
                         ParseResp::Malformed => verdict = Out::Error,
-                        ParseResp::Complete(resp, consumed) => {
+                        ParseResp::Complete(consumed) => {
                             // Leftover bytes after a complete response poison
                             // the framing; such a connection must not be
                             // parked (same contract as the pool's dirty
                             // checkin refusal).
                             let dirty = consumed < up.rbuf.len() || up.read_eof;
-                            verdict = Out::Resolved(resp, dirty);
+                            verdict = Out::Resolved(dirty);
                         }
                     }
                 }
-                up.last_active = Instant::now();
+                up.last_active = *now;
                 verdict
             };
             match out {
@@ -2177,6 +2359,9 @@ impl<S: ReactorService> Reactor<S> {
                                 .get_mut(ct)
                                 .is_some_and(|c| c.pending_out() < OUT_HIGH_WATER);
                             if freed {
+                                // The read leg stopped early, so bytes may
+                                // wait with no edge to announce them.
+                                can_read = true;
                                 continue;
                             }
                         }
@@ -2187,8 +2372,8 @@ impl<S: ReactorService> Reactor<S> {
                     self.upstream_exchange_error(utoken);
                     return;
                 }
-                Out::Resolved(resp, dirty) => {
-                    self.resolve_upstream(utoken, *resp, dirty);
+                Out::Resolved(dirty) => {
+                    self.resolve_upstream(utoken, dirty);
                     return;
                 }
                 Out::StreamDone { dirty } => {
@@ -2259,23 +2444,32 @@ impl<S: ReactorService> Reactor<S> {
         self.finish_exchange(ex, UpstreamOutcome::StreamFailed { mismatch });
     }
 
-    /// A relay delivered its last payload byte: park or close the origin
-    /// connection (same dirty contract as [`resolve_upstream`]), then run
-    /// the continuation with the relay's bookkeeping.
-    fn resolve_stream(&mut self, utoken: u64, dirty: bool) {
+    /// Park a finished upstream connection for reuse, or close it when its
+    /// framing is poisoned (`dirty`) or the idle list is full; hand back
+    /// its exchange.
+    fn release_upstream(&mut self, utoken: u64, dirty: bool) -> Option<Exchange> {
         let ex = self
             .upstreams
             .get_mut(utoken & !UPSTREAM_BIT)
             .and_then(|up| up.ex.take());
+        let now = self.now;
         if dirty || self.idle_ups.len() >= self.upstream_max_idle {
             self.close_upstream(utoken);
         } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
             up.phase = UpPhase::Idle;
             up.rbuf.clear();
-            up.last_active = Instant::now();
+            up.last_active = now;
             self.idle_ups.push_back(utoken);
         }
-        let Some(mut ex) = ex else { return };
+        ex
+    }
+
+    /// A relay delivered its last payload byte: park or close the origin
+    /// connection, then run the continuation with the relay's bookkeeping.
+    fn resolve_stream(&mut self, utoken: u64, dirty: bool) {
+        let Some(mut ex) = self.release_upstream(utoken, dirty) else {
+            return;
+        };
         self.clear_relay_link(&ex);
         let relay = ex.relay.take().expect("resolve_stream requires a relay");
         self.finish_exchange(
@@ -2300,23 +2494,15 @@ impl<S: ReactorService> Reactor<S> {
         }
     }
 
-    /// A complete response arrived: park or close the origin connection,
-    /// then run the continuation.
-    fn resolve_upstream(&mut self, utoken: u64, resp: Response, dirty: bool) {
-        let ex = self
-            .upstreams
-            .get_mut(utoken & !UPSTREAM_BIT)
-            .and_then(|up| up.ex.take());
-        if dirty || self.idle_ups.len() >= self.upstream_max_idle {
-            self.close_upstream(utoken);
-        } else if let Some(up) = self.upstreams.get_mut(utoken & !UPSTREAM_BIT) {
-            up.phase = UpPhase::Idle;
-            up.rbuf.clear();
-            up.last_active = Instant::now();
-            self.idle_ups.push_back(utoken);
-        }
-        if let Some(ex) = ex {
-            self.finish_exchange(ex, UpstreamOutcome::Response(resp));
+    /// A complete response arrived in `up_resp`: park or close the origin
+    /// connection, then run the continuation on it.
+    fn resolve_upstream(&mut self, utoken: u64, dirty: bool) {
+        if let Some(ex) = self.release_upstream(utoken, dirty) {
+            // Lend the parsed response out for the continuation and put it
+            // back afterwards, keeping its reused strings and entries.
+            let resp = std::mem::replace(&mut self.up_resp, Response::empty());
+            self.finish_exchange(ex, UpstreamOutcome::Response(&resp));
+            self.up_resp = resp;
         }
     }
 
@@ -2324,41 +2510,40 @@ impl<S: ReactorService> Reactor<S> {
     /// client's buffers (or the spare set if the client died — the
     /// continuation's counter updates must happen regardless), then unpark
     /// and pump the client or chain the follow-up exchange.
-    fn finish_exchange(&mut self, ex: Exchange, outcome: UpstreamOutcome) {
-        let Exchange {
-            plan,
-            client,
-            attempt: _,
-            wpos: _,
-            started: _,
-            relay: _,
-        } = ex;
-        let client = client.filter(|t| self.slab.get_mut(*t).is_some());
+    fn finish_exchange(&mut self, ex: Exchange, outcome: UpstreamOutcome<'_>) {
+        let UpstreamPlan {
+            mut request,
+            finish,
+            ..
+        } = ex.plan;
+        let client = ex.client.filter(|t| self.slab.get_mut(*t).is_some());
+        request.clear();
         let next = match client {
             Some(token) => {
                 let conn = self.slab.get_mut(token).expect("checked above");
-                (plan.finish)(&mut conn.scratch, &mut conn.out, outcome)
+                // The request buffer goes back to the connection it was
+                // lent from, for its next exchange.
+                conn.scratch.upstream = request;
+                finish(&mut conn.scratch, &mut conn.out, outcome)
             }
             None => {
                 self.spare_out.clear();
-                (plan.finish)(&mut self.spare_scratch, &mut self.spare_out, outcome)
+                finish(&mut self.spare_scratch, &mut self.spare_out, outcome)
             }
         };
+        self.shard_stats()
+            .upstream_inflight
+            .fetch_sub(1, Ordering::Relaxed);
         match next {
             Ok(UpstreamNext::Again(plan2)) => {
                 // A chained exchange (refetch after a 304 whose body was
                 // evicted) gets its own two attempts, matching the
                 // threaded path's per-exchange retry loop.
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
                 self.start_upstream(plan2, client, 0);
             }
             Ok(UpstreamNext::Done) => {
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
+                    let now = self.now;
                     if let Some(conn) = self.slab.get_mut(token) {
                         if let ConnState::AwaitingUpstream { keep } = conn.state {
                             conn.state = if keep {
@@ -2367,15 +2552,12 @@ impl<S: ReactorService> Reactor<S> {
                                 ConnState::Closing
                             };
                         }
-                        conn.last_active = Instant::now();
+                        conn.last_active = now;
                     }
                     self.pump(token);
                 }
             }
             Err(_) => {
-                self.shard_stats()
-                    .upstream_inflight
-                    .fetch_sub(1, Ordering::Relaxed);
                 if let Some(token) = client {
                     self.close_conn(token);
                 }
@@ -2385,6 +2567,7 @@ impl<S: ReactorService> Reactor<S> {
 
     fn close_upstream(&mut self, utoken: u64) {
         if let Some(up) = self.upstreams.remove(utoken & !UPSTREAM_BIT) {
+            self.shard_stats().count(Syscall::EpollCtl);
             let _ = self.ep.del(up.stream.as_raw_fd());
         }
         // O(idle list) removal; the list is capped at upstream_max_idle.
@@ -2395,13 +2578,14 @@ impl<S: ReactorService> Reactor<S> {
 /// Nonblocking IPv4 connect. Returns the stream and whether the TCP
 /// handshake already completed (loopback often connects synchronously);
 /// otherwise completion is reported by `EPOLLOUT` + `SO_ERROR`.
-fn dial_nonblocking(addr: SocketAddr) -> io::Result<(TcpStream, bool)> {
+fn dial_nonblocking(addr: SocketAddr, stats: &ReactorShardStats) -> io::Result<(TcpStream, bool)> {
     let SocketAddr::V4(v4) = addr else {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "reactor upstream requires IPv4",
         ));
     };
+    stats.count(Syscall::Socket);
     let fd = unsafe {
         sys::socket(
             sys::AF_INET,
@@ -2419,6 +2603,7 @@ fn dial_nonblocking(addr: SocketAddr) -> io::Result<(TcpStream, bool)> {
         sin_zero: [0; 8],
     };
     let len = std::mem::size_of::<sys::SockAddrIn>() as u32;
+    stats.count(Syscall::Connect);
     let rc = unsafe { sys::connect(fd, &sa, len) };
     let connected = if rc == 0 {
         true
@@ -2433,6 +2618,7 @@ fn dial_nonblocking(addr: SocketAddr) -> io::Result<(TcpStream, bool)> {
         }
     };
     let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    stats.count(Syscall::Sockopt);
     let _ = stream.set_nodelay(true);
     Ok((stream, connected))
 }
@@ -2477,7 +2663,7 @@ pub fn serve_reactor<S: ReactorService>(
     }
     let stop = Arc::new(AtomicBool::new(false));
     let injectors = (0..shards)
-        .map(|_| Injector::new())
+        .map(|shard| Injector::new(&metrics, shard))
         .collect::<io::Result<Vec<_>>>()?;
     let pool = start_pool(name, opts.offload_workers, injectors.clone())?;
     let mut joins = Vec::new();
@@ -2503,10 +2689,15 @@ pub fn serve_reactor<S: ReactorService>(
                 stop: Arc::clone(&stop),
                 accept_paused_until: None,
                 accept_backoff: ACCEPT_BACKOFF_MIN,
+                now: Instant::now(),
                 expired_buf: Vec::new(),
                 comp_buf: Vec::new(),
+                local: Vec::new(),
+                local_batch: Vec::new(),
                 spare_scratch: ConnScratch::new(),
-                spare_out: Vec::new(),
+                spare_out: OutQueue::new(),
+                up_resp: Response::empty(),
+                up_scratch: ConnScratch::new(),
             };
             std::thread::Builder::new()
                 .name(format!("{name}-reactor-{shard}"))
@@ -2545,6 +2736,7 @@ pub fn serve_reactor<S: ReactorService>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn slab_tokens_survive_aba() {
@@ -2557,8 +2749,7 @@ mod tests {
                 stream,
                 rbuf: Vec::new(),
                 rpos: 0,
-                out: Vec::new(),
-                opos: 0,
+                out: OutQueue::new(),
                 scratch: ConnScratch::new(),
                 req: Request::empty(),
                 state: ConnState::Ready,
@@ -2660,7 +2851,7 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
+            out: &mut OutQueue,
         ) -> io::Result<Served> {
             write!(
                 out,
@@ -2716,6 +2907,46 @@ mod tests {
             let path = format!("/p{i}");
             assert!(read_response(&mut c, &path).ends_with(path.as_str()));
         }
+        handle.stop();
+    }
+
+    /// On a warm keep-alive connection a request costs one `recv` and one
+    /// `writev`: the read stops at its short read (no probe for EAGAIN),
+    /// the write at the first complete write, and nothing crosses the
+    /// eventfd.
+    #[test]
+    fn each_request_costs_one_read_and_one_write() {
+        let metrics = Arc::new(ReactorMetrics::new(1));
+        let handle = serve_reactor(
+            0,
+            "count-reactor",
+            ReactorOptions {
+                offload_workers: 1,
+                idle_timeout: Duration::from_secs(30),
+                ..ReactorOptions::default()
+            },
+            Arc::new(IoStats::default()),
+            Arc::clone(&metrics),
+            Arc::new(Echo),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(handle.addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c.write_all(b"GET /warm HTTP/1.1\r\n\r\n").unwrap();
+        read_response(&mut c, "/warm");
+        let s = &metrics.shards[0];
+        let before = Syscall::ALL.map(|op| s.syscalls(op));
+        for i in 0..10 {
+            let path = format!("/r{i}");
+            c.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+                .unwrap();
+            read_response(&mut c, &path);
+        }
+        let delta = |op: Syscall| s.syscalls(op) - before[op as usize];
+        assert_eq!(delta(Syscall::Read), 10);
+        assert_eq!(delta(Syscall::Write), 10);
+        assert_eq!(delta(Syscall::EventfdRead), 0);
+        assert_eq!(delta(Syscall::EventfdWrite), 0);
         handle.stop();
     }
 
@@ -2796,10 +3027,10 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            out: &mut Vec<u8>,
+            out: &mut OutQueue,
         ) -> io::Result<Served> {
             write!(out, "HTTP/1.1 200 OK\r\nContent-Length: {BIG_BODY}\r\n\r\n").unwrap();
-            out.resize(out.len() + BIG_BODY, b'x');
+            out.append_with(|b| b.resize(b.len() + BIG_BODY, b'x'));
             Ok(Served::Inline)
         }
     }
@@ -2865,7 +3096,7 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
+            _out: &mut OutQueue,
         ) -> io::Result<Served> {
             let path = req.target.clone();
             Ok(Served::Offload(Box::new(move |_scratch, out| {
@@ -2932,7 +3163,7 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
+            _out: &mut OutQueue,
         ) -> io::Result<Served> {
             let path = req.target.clone();
             Ok(Served::Offload(Box::new(move |_scratch, out| {
@@ -2987,43 +3218,49 @@ mod tests {
     fn response_completeness_gate_covers_all_framings() {
         // Content-Length: incomplete until the body is fully buffered.
         let full = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody";
+        let mut resp = Response::empty();
+        let mut scratch = ConnScratch::new();
+        let mut parse = |buf: &[u8], eof: bool, resp: &mut Response| {
+            try_parse_response(buf, eof, resp, &mut scratch)
+        };
         for cut in 0..full.len() {
             assert!(
-                matches!(
-                    try_parse_response(&full[..cut], false),
-                    ParseResp::Incomplete
-                ),
+                matches!(parse(&full[..cut], false, &mut resp), ParseResp::Incomplete),
                 "prefix of {cut} bytes must be incomplete"
             );
         }
-        match try_parse_response(full, false) {
-            ParseResp::Complete(resp, n) => {
+        match parse(full, false, &mut resp) {
+            ParseResp::Complete(n) => {
                 assert_eq!(resp.status, 200);
                 assert_eq!(&*resp.body, b"body");
                 assert_eq!(n, full.len());
             }
             _ => panic!("full CL response must parse"),
         }
-        // Bodiless 304 completes at the blank line.
+        // Bodiless 304 completes at the blank line, refilling the same
+        // response: the earlier body is gone.
         let nm = b"HTTP/1.1 304 Not Modified\r\nX-A: b\r\n\r\n";
         assert!(matches!(
-            try_parse_response(nm, false),
-            ParseResp::Complete(_, _)
+            parse(nm, false, &mut resp),
+            ParseResp::Complete(_)
         ));
+        assert_eq!(resp.status, 304);
+        assert!(resp.body.is_empty());
+        assert_eq!(resp.headers.get("X-A"), Some("b"));
         // Chunked: incomplete until the terminal 0-chunk + trailer end.
         let chunked =
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n";
         for cut in 0..chunked.len() - 5 {
             assert!(
                 matches!(
-                    try_parse_response(&chunked[..cut], false),
+                    parse(&chunked[..cut], false, &mut resp),
                     ParseResp::Incomplete
                 ),
                 "chunked prefix of {cut} bytes must be incomplete"
             );
         }
-        match try_parse_response(chunked, false) {
-            ParseResp::Complete(resp, n) => {
+        match parse(chunked, false, &mut resp) {
+            ParseResp::Complete(n) => {
                 assert_eq!(&*resp.body, b"body");
                 assert_eq!(n, chunked.len());
             }
@@ -3033,16 +3270,16 @@ mod tests {
         // half-closes, never before.
         let unframed = b"HTTP/1.1 200 OK\r\n\r\nstreaming";
         assert!(matches!(
-            try_parse_response(unframed, false),
+            parse(unframed, false, &mut resp),
             ParseResp::Incomplete
         ));
-        match try_parse_response(unframed, true) {
-            ParseResp::Complete(resp, _) => assert_eq!(&*resp.body, b"streaming"),
+        match parse(unframed, true, &mut resp) {
+            ParseResp::Complete(_) => assert_eq!(&*resp.body, b"streaming"),
             _ => panic!("unframed response must complete at EOF"),
         }
         // EOF mid-header is truncation.
         assert!(matches!(
-            try_parse_response(b"HTTP/1.1 200 OK\r\nCont", true),
+            parse(b"HTTP/1.1 200 OK\r\nCont", true, &mut resp),
             ParseResp::Malformed | ParseResp::Incomplete
         ));
     }
@@ -3064,7 +3301,7 @@ mod tests {
             _peer: SocketAddr,
             _ctx: &mut (),
             _scratch: &mut ConnScratch,
-            _out: &mut Vec<u8>,
+            _out: &mut OutQueue,
         ) -> io::Result<Served> {
             let request = format!("GET {} HTTP/1.1\r\nHost: fwd\r\n\r\n", req.target).into_bytes();
             Ok(Served::Upstream(UpstreamPlan {

@@ -24,7 +24,13 @@ impl Clock {
     }
 
     pub fn now(&self) -> Timestamp {
-        Timestamp::from_millis(self.start.elapsed().as_millis() as u64)
+        self.at(Instant::now())
+    }
+
+    /// The clock's reading at `t`, for a caller that already read the
+    /// monotonic clock.
+    pub fn at(&self, t: Instant) -> Timestamp {
+        Timestamp::from_millis(t.saturating_duration_since(self.start).as_millis() as u64)
     }
 }
 
@@ -411,10 +417,51 @@ mod libc_sys {
 
     pub const POLLIN: i16 = 0x1;
 
+    pub const MSG_PEEK: i32 = 0x2;
+    pub const MSG_DONTWAIT: i32 = 0x40;
+
     extern "C" {
         pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        pub fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    }
+}
+
+/// Whether `stream` is open with no bytes waiting (`WouldBlock` ⇔ quiet
+/// ⇔ healthy; data, EOF or an error mean it must not be reused). On Linux
+/// this is one `recv(MSG_PEEK | MSG_DONTWAIT)`, which leaves the socket's
+/// blocking mode alone; elsewhere the socket is switched to nonblocking
+/// around a `peek`.
+pub(crate) fn socket_is_quiet(stream: &TcpStream) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        let mut probe = 0u8;
+        // SAFETY: `probe` is one writable byte borrowed exclusively for
+        // the call, and the fd stays open because `stream` is borrowed.
+        let n = unsafe {
+            libc_sys::recv(
+                stream.as_raw_fd(),
+                &mut probe,
+                1,
+                libc_sys::MSG_PEEK | libc_sys::MSG_DONTWAIT,
+            )
+        };
+        n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let mut probe = [0u8; 1];
+        let quiet = matches!(
+            stream.peek(&mut probe),
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
+        );
+        // A connection we cannot restore to blocking mode is unusable.
+        quiet && stream.set_nonblocking(false).is_ok()
     }
 }
 

@@ -120,17 +120,123 @@ fn reactor_cached_hits_allocate_nothing_after_warmup() {
     steady_state_is_allocation_free(IoMode::Reactor { reactors: 2 });
 }
 
-/// ISSUE 9 satellite: the reactor's nonblocking miss path must also hit
-/// an allocation *steady state*. With freshness zero every request is
-/// stale, so each one drives a full upstream exchange on the reactor —
-/// serialize the validation request, ride the per-shard keep-alive
-/// upstream connection, parse the 304, re-serve from cache. That path
-/// legitimately allocates (plan closures, response headers), but the
-/// per-request count must be a small bounded constant, not grow with
+/// The reactor's nonblocking validation path must hit an allocation
+/// *steady state*. With freshness zero every request is stale, so each
+/// one drives a full upstream exchange on the reactor — serialize the
+/// validation request into the connection's reused buffer, ride the
+/// per-shard keep-alive upstream connection, parse the 304 into the
+/// shard's reused response, re-serve the cached body by reference. What
+/// still allocates per request (the owned upstream job and its boxed
+/// continuation) must be a small bounded constant, not grow with
 /// connection lifetime, and never fall back to the offload pool.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_miss_path_allocations_stay_bounded() {
+    let per_request = validation_allocations(IoMode::Reactor { reactors: 2 });
+    // Measured 3 per validation (proxy and origin together; 49 before the
+    // validation path reused its buffers): the job's owned path and its
+    // two boxed callbacks. The bound leaves headroom for allocator jitter
+    // while catching any regression to per-request buffer or header
+    // churn.
+    assert!(
+        per_request <= 6,
+        "reactor validation path allocates too much: {per_request} per request"
+    );
+}
+
+/// The threaded twin: the blocking engine shares the exchange code, so a
+/// validation there is bounded the same way.
+#[test]
+fn threaded_miss_path_allocations_stay_bounded() {
+    let per_request = validation_allocations(IoMode::Threaded);
+    // Measured 1 per validation (the job's owned path).
+    assert!(
+        per_request <= 3,
+        "threaded validation path allocates too much: {per_request} per request"
+    );
+}
+
+/// The origin answers a validation that carries a piggyback — filter
+/// parsed, volume members ranked, `P-volume` encoded, 304 head written —
+/// entirely in per-connection scratch: no allocation per request.
+#[test]
+fn origin_validation_with_piggyback_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap();
+    let origin = start_origin(OriginConfig {
+        site: SiteConfig {
+            n_pages: 40,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .expect("origin starts");
+    let reqs: Vec<Vec<u8>> = origin
+        .paths
+        .iter()
+        .take(60)
+        .map(|p| {
+            format!(
+                "GET {p} HTTP/1.1\r\nHost: alloc-test\r\nTE: chunked\r\n\
+                 Piggy-filter: maxpiggy=10\r\n\
+                 If-Modified-Since: Sun, 01 Jan 2034 00:00:00 GMT\r\n\r\n"
+            )
+            .into_bytes()
+        })
+        .collect();
+    let mut stream = TcpStream::connect(origin.addr()).expect("connect");
+    let mut buf = [0u8; 4096];
+    let mut round = |stream: &mut TcpStream| -> usize {
+        let mut piggybacked = 0;
+        for req in &reqs {
+            stream.write_all(req).unwrap();
+            let mut filled = 0;
+            let end = loop {
+                let n = stream.read(&mut buf[filled..]).unwrap();
+                assert!(n > 0, "origin closed");
+                filled += n;
+                if let Some(p) = find(&buf[..filled], b"\r\n\r\n") {
+                    break p;
+                }
+            };
+            assert!(buf.starts_with(b"HTTP/1.1 304"), "not a 304");
+            assert_eq!(filled, end + 4, "a 304 has no body");
+            if find(&buf[..end], b"P-volume: ").is_some() {
+                piggybacked += 1;
+            }
+        }
+        piggybacked
+    };
+    // Warmup: every path accessed, scratch and recycled header strings
+    // at their steady-state capacity.
+    for _ in 0..5 {
+        round(&mut stream);
+    }
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut piggybacked = 0;
+    for _ in 0..10 {
+        piggybacked += round(&mut stream);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        piggybacked,
+        10 * reqs.len(),
+        "every 304 carries a piggyback"
+    );
+    // Measured 0 (about 20 per validation before the origin answered from
+    // scratch).
+    assert_eq!(
+        after - before,
+        0,
+        "origin validations with piggyback allocated {} times in {} requests",
+        after - before,
+        10 * reqs.len()
+    );
+    origin.stop();
+}
+
+/// Allocations per always-stale request (a 304 validation through the
+/// proxy and the in-process origin) on a warmed connection.
+fn validation_allocations(io: IoMode) -> u64 {
     let _window = WINDOW.lock().unwrap();
     let site_cfg = SiteConfig {
         n_pages: 8,
@@ -143,7 +249,7 @@ fn reactor_miss_path_allocations_stay_bounded() {
     })
     .expect("origin starts");
     let mut cfg = ProxyConfig::new(origin.addr());
-    cfg.io = IoMode::Reactor { reactors: 2 };
+    cfg.io = io;
     // Always stale: every measured request is an upstream validation.
     cfg.freshness = piggyback_core::types::DurationMs::from_millis(0);
     cfg.filter = piggyback_core::filter::ProxyFilter::builder()
@@ -189,15 +295,9 @@ fn reactor_miss_path_allocations_stay_bounded() {
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     let total_reqs = (ROUNDS * reqs.len()) as u64;
     let per_request = (after - before) / total_reqs;
-    // Measured ~49 on the current implementation; the bound leaves
-    // headroom for allocator jitter while catching any O(n) regression
-    // (per-request buffer churn lands at hundreds per exchange).
-    assert!(
-        per_request <= 96,
-        "reactor miss path allocates too much: {} allocations / {} requests = {} per request",
-        after - before,
-        total_reqs,
-        per_request
+    eprintln!(
+        "{io:?}: {} allocations / {total_reqs} validations = {per_request} per request",
+        after - before
     );
 
     let s = proxy.stats();
@@ -209,6 +309,7 @@ fn reactor_miss_path_allocations_stay_bounded() {
     assert_eq!(s.upstream_errors, 0, "{s:?}");
     proxy.stop();
     origin.stop();
+    per_request
 }
 
 /// ISSUE 10 satellite: the streaming prefix-hit relay must allocate O(1)

@@ -595,3 +595,161 @@ fn reactor_relay_backpressure_pauses_for_slow_readers() {
     assert_eq!(s.outcomes(), s.requests, "{s:?}");
     proxy.stop();
 }
+
+/// A proxy in reactor mode with one shard (so one client's upstream
+/// exchanges share one idle list) and deterministic wire output.
+fn one_shard_proxy(origin: SocketAddr, upstream_timeout: Duration) -> ProxyHandle {
+    let mut cfg = ProxyConfig::new(origin);
+    cfg.io = IoMode::Reactor { reactors: 1 };
+    cfg.freshness = DurationMs::from_secs(3600);
+    cfg.filter = ProxyFilter::builder().max_piggy(0).build();
+    cfg.rpv = None;
+    cfg.report_hits = false;
+    cfg.upstream_timeout = upstream_timeout;
+    start_proxy(cfg).unwrap()
+}
+
+/// A hand-rolled origin: `answer(n, request_head)` is called for the
+/// `n`th request (0-based) on each accepted connection and returns the
+/// bytes to send, or `None` to close the connection without answering.
+/// Returning `Some` ends with the connection closed when the bytes carry
+/// no `Content-Length` (a close-delimited body).
+fn scripted_origin(answer: fn(usize) -> Option<Vec<u8>>) -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 4096];
+                for n in 0.. {
+                    while find(&buf, b"\r\n\r\n").is_none() {
+                        match conn.read(&mut chunk) {
+                            Ok(0) | Err(_) => return,
+                            Ok(k) => buf.extend_from_slice(&chunk[..k]),
+                        }
+                    }
+                    let end = find(&buf, b"\r\n\r\n").unwrap() + 4;
+                    buf.drain(..end);
+                    let Some(bytes) = answer(n) else { return };
+                    if conn.write_all(&bytes).is_err() {
+                        return;
+                    }
+                    if find(&bytes, b"Content-Length").is_none() {
+                        // Close-delimited: the FIN follows the last byte
+                        // at once.
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A response whose body runs to connection close, its FIN sent right
+/// behind its last bytes: a read that stopped at the short read of those
+/// bytes would wait for an edge that never comes. The reactor keeps
+/// reading once a hang-up is reported, so the exchange completes at once,
+/// not at the upstream timeout.
+#[test]
+fn close_delimited_upstream_response_completes_without_waiting_for_timeout() {
+    let origin = scripted_origin(|_| {
+        Some(
+            b"HTTP/1.1 200 OK\r\nLast-Modified: Wed, 28 Jan 1998 00:00:00 GMT\r\n\r\nto-the-fin"
+                .to_vec(),
+        )
+    });
+    let proxy = one_shard_proxy(origin, Duration::from_secs(20));
+    let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    let t0 = Instant::now();
+    let resp = raw_roundtrip(&mut conn, &get_bytes("/eof.html"));
+    let took = t0.elapsed();
+    assert!(
+        resp.starts_with(b"HTTP/1.1 200"),
+        "{:?}",
+        String::from_utf8_lossy(&resp)
+    );
+    assert!(
+        resp.ends_with(b"\r\n\r\nto-the-fin"),
+        "{:?}",
+        String::from_utf8_lossy(&resp)
+    );
+    assert!(
+        took < Duration::from_secs(5),
+        "close-delimited response took {took:?} (upstream timeout 20 s)"
+    );
+    let s = proxy.stats();
+    assert_eq!(s.full_fetches, 1, "{s:?}");
+    assert_eq!(s.upstream_errors, 0, "{s:?}");
+    proxy.stop();
+}
+
+/// A client that pipelines two requests and half-closes at once: the FIN
+/// arrives with (or right behind) the request bytes. Both responses must
+/// still come back, in order, before the proxy closes its side.
+#[test]
+fn half_closed_client_still_gets_its_pipelined_responses() {
+    let origin = start_origin(OriginConfig::default()).unwrap();
+    let proxy = quiet_proxy(origin.addr(), REACTOR);
+    let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut burst = get_bytes(&origin.paths[0]);
+    burst.extend_from_slice(&get_bytes(&origin.paths[1]));
+    conn.write_all(&burst).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut carry = Vec::new();
+    for path in &origin.paths[..2] {
+        let resp = read_framed(&mut conn, &mut carry);
+        assert!(resp.starts_with(b"HTTP/1.1 200"), "{path}");
+    }
+    assert!(carry.is_empty());
+    let mut rest = [0u8; 16];
+    assert_eq!(
+        conn.read(&mut rest).unwrap(),
+        0,
+        "proxy closes once nothing is owed"
+    );
+    let s = proxy.stats();
+    assert_eq!(s.requests, 2, "{s:?}");
+    assert_eq!(s.full_fetches, 2, "{s:?}");
+    proxy.stop();
+    origin.stop();
+}
+
+/// Reusing a kept-alive upstream connection sends the request without
+/// probing the socket first. When the origin has gone away on that
+/// connection (here: it closes on its second request instead of
+/// answering), the exchange's one-shot retry on a fresh connection must
+/// serve the request, and the retry is counted.
+#[test]
+fn reused_upstream_closed_by_origin_is_retried_on_a_fresh_connection() {
+    let origin = scripted_origin(|n| {
+        (n == 0).then(|| {
+            b"HTTP/1.1 200 OK\r\nLast-Modified: Wed, 28 Jan 1998 00:00:00 GMT\r\n\
+              Content-Length: 5\r\n\r\nfirst"
+                .to_vec()
+        })
+    });
+    let proxy = one_shard_proxy(origin, Duration::from_secs(20));
+    let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    for path in ["/one.html", "/two.html"] {
+        let resp = raw_roundtrip(&mut conn, &get_bytes(path));
+        assert!(resp.starts_with(b"HTTP/1.1 200"), "{path}");
+        assert!(resp.ends_with(b"first"), "{path}");
+    }
+    let s = proxy.stats();
+    assert_eq!(
+        s.upstream_retries, 1,
+        "the reused connection was dead: {s:?}"
+    );
+    assert_eq!(s.upstream_errors, 0, "{s:?}");
+    assert_eq!(s.full_fetches, 2, "{s:?}");
+    proxy.stop();
+}
